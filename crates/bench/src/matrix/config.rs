@@ -1,10 +1,11 @@
 //! Declarative benchmark-matrix configuration (`benches/matrix.toml`).
 //!
-//! A TOML-subset parser in the mold of `simcpu`'s platform-model loader:
-//! self-contained (no external dependency), and every rejection is a
-//! *named check* with a line number, so a broken matrix file reads like a
-//! lint report instead of a panic.  The grammar is documented in SPEC.md
-//! §14; the shape is
+//! An interpreter over the suite's TOML-subset reader ([`papi_obs::toml`]),
+//! the same reader the platform-model files go through: one grammar, and
+//! every rejection is a [`TomlError`] with a named check and a line number,
+//! so a broken matrix file reads like a lint report instead of a panic.
+//! SPEC.md §12 has the grammar and the shared checks, §14 the keys and the
+//! checks only this file makes; the shape is
 //!
 //! ```toml
 //! schema = 1
@@ -21,7 +22,7 @@
 //! order, composing fault schedules into `fault[SPEC]:NAME` substrate
 //! labels exactly as the registry spells them.
 
-use std::fmt;
+use papi_obs::toml::{self, TomlError, Value, View};
 
 /// The one schema version this parser accepts.
 pub const SCHEMA_VERSION: i64 = 1;
@@ -35,35 +36,6 @@ pub const CELL_EVENTS: [papi_core::Preset; 4] = [
     papi_core::Preset::LdIns,
     papi_core::Preset::SrIns,
 ];
-
-/// A named, line-addressed configuration rejection.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MatrixParseError {
-    /// 1-based line number (`lines + 1` for end-of-file checks).
-    pub line: usize,
-    /// Stable machine-readable check name (ascii, no spaces).
-    pub check: &'static str,
-    /// Human-readable detail.
-    pub msg: String,
-}
-
-impl MatrixParseError {
-    fn new(line: usize, check: &'static str, msg: impl Into<String>) -> Self {
-        MatrixParseError {
-            line,
-            check,
-            msg: msg.into(),
-        }
-    }
-}
-
-impl fmt::Display for MatrixParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: [{}] {}", self.line, self.check, self.msg)
-    }
-}
-
-impl std::error::Error for MatrixParseError {}
 
 /// The measured operation of a benchmark cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -228,8 +200,88 @@ pub struct MatrixConfig {
 
 impl MatrixConfig {
     /// Parse a matrix file.  Every failure names a check and a line.
-    pub fn parse(text: &str) -> Result<MatrixConfig, MatrixParseError> {
-        Parser::new(text).run()
+    pub fn parse(text: &str) -> Result<MatrixConfig, TomlError> {
+        let doc = toml::parse(text)?;
+        doc.check_sections(&["matrix", "gate", "axes"], &["bench"])?;
+        doc.check_schema(SCHEMA_VERSION)?;
+        let section = |name, allowed| {
+            doc.single(name)
+                .map_or(Ok(Keys::default()), |v| Keys::read(&v, allowed))
+        };
+        let run = section("matrix", &["seed", "warmup", "iters", "reps", "mpx_period"])?;
+        let gate = section("gate", &["max_ratio"])?;
+        let axes = section("axes", &AXES)?;
+        let d_subs = axes
+            .substrates
+            .unwrap_or_else(|| vec!["sim:x86".to_string()]);
+        let d_threads = axes.threads.unwrap_or_else(|| vec![1]);
+        let d_events = axes.events.unwrap_or_else(|| vec![4]);
+        let d_mpx = axes.mpx.unwrap_or_else(|| vec![false]);
+        let d_faults = axes.faults.unwrap_or_else(|| vec!["none".to_string()]);
+
+        let mut benches: Vec<BenchDef> = Vec::new();
+        for v in doc.array("bench") {
+            let k = Keys::read(&v, &BENCH_KEYS)?;
+            let name = v.str("name")?;
+            if name.is_empty()
+                || !name
+                    .chars()
+                    .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
+            {
+                return Err(v.err("name", "bench-name", format!("bad bench name `{name}`")));
+            }
+            if benches.iter().any(|b| b.name == name) {
+                return Err(TomlError::new(
+                    v.line,
+                    "bench-name",
+                    format!("duplicate bench `{name}`"),
+                ));
+            }
+            let op = v.str("op")?;
+            let op = Op::parse(op).ok_or_else(|| {
+                v.err(
+                    "op",
+                    "op",
+                    format!("unknown op `{op}` (read_into | read | accum)"),
+                )
+            })?;
+            let substrates = k.substrates.unwrap_or_else(|| d_subs.clone());
+            let faults = k.faults.unwrap_or_else(|| d_faults.clone());
+            if faults.iter().any(|f| f != "none")
+                && substrates.iter().any(|s| s.ends_with("/static"))
+            {
+                return Err(TomlError::new(
+                    v.line,
+                    "fault",
+                    format!("bench `{name}`: fault schedules cannot decorate /static substrates"),
+                ));
+            }
+            benches.push(BenchDef {
+                name: name.to_string(),
+                op,
+                substrates,
+                threads: k.threads.unwrap_or_else(|| d_threads.clone()),
+                events: k.events.unwrap_or_else(|| d_events.clone()),
+                mpx: k.mpx.unwrap_or_else(|| d_mpx.clone()),
+                faults,
+                iters: k.iters,
+                warmup: k.warmup,
+                reps: k.reps,
+                gate_ratio: k.max_ratio,
+            });
+        }
+        if benches.is_empty() {
+            return Err(TomlError::new(0, "no-benches", "no [[bench]] sections"));
+        }
+        Ok(MatrixConfig {
+            seed: run.seed.unwrap_or(42),
+            warmup: run.warmup.unwrap_or(64),
+            iters: run.iters.unwrap_or(2048),
+            reps: run.reps.unwrap_or(1),
+            mpx_period: run.mpx_period.unwrap_or(5000),
+            gate_ratio: gate.max_ratio.unwrap_or(1.5),
+            benches,
+        })
     }
 
     /// Unroll the benches into the full cell list, in declaration order:
@@ -267,70 +319,37 @@ impl MatrixConfig {
 }
 
 // ---------------------------------------------------------------------------
-// Parser internals
+// Section keys
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-enum Val {
-    Int(i64),
-    Float(f64),
-    Bool(bool),
-    Str(String),
-    Arr(Vec<Val>),
-}
+/// The axis keys `[axes]` sets for every bench and `[[bench]]` overrides.
+const AXES: [&str; 5] = ["substrates", "threads", "events", "mpx", "faults"];
 
-impl Val {
-    fn type_name(&self) -> &'static str {
-        match self {
-            Val::Int(_) => "integer",
-            Val::Float(_) => "float",
-            Val::Bool(_) => "bool",
-            Val::Str(_) => "string",
-            Val::Arr(_) => "array",
-        }
-    }
-}
+/// Every key a `[[bench]]` may set.
+const BENCH_KEYS: [&str; 11] = [
+    "name",
+    "op",
+    "substrates",
+    "threads",
+    "events",
+    "mpx",
+    "faults",
+    "iters",
+    "warmup",
+    "reps",
+    "max_ratio",
+];
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Section {
-    Root,
-    Matrix,
-    Gate,
-    Axes,
-    Bench,
-}
-
-impl Section {
-    fn name(self) -> &'static str {
-        match self {
-            Section::Root => "(top level)",
-            Section::Matrix => "matrix",
-            Section::Gate => "gate",
-            Section::Axes => "axes",
-            Section::Bench => "bench",
-        }
-    }
-}
-
-/// Raw `[[bench]]` table before axis-default resolution.
-#[derive(Debug, Default)]
-struct RawBench {
-    line: usize,
-    name: Option<String>,
-    op: Option<Op>,
-    substrates: Option<Vec<String>>,
-    threads: Option<Vec<usize>>,
-    events: Option<Vec<usize>>,
-    mpx: Option<Vec<bool>>,
-    faults: Option<Vec<String>>,
-    iters: Option<u64>,
+/// The optional keys of `[matrix]`, `[gate]`, `[axes]` and `[[bench]]`,
+/// each read by one rule wherever it appears.
+#[derive(Default)]
+struct Keys {
+    seed: Option<u64>,
     warmup: Option<u64>,
+    iters: Option<u64>,
     reps: Option<u32>,
-    gate_ratio: Option<f64>,
-}
-
-#[derive(Debug, Default)]
-struct RawAxes {
+    mpx_period: Option<u64>,
+    max_ratio: Option<f64>,
     substrates: Option<Vec<String>>,
     threads: Option<Vec<usize>>,
     events: Option<Vec<usize>>,
@@ -338,554 +357,110 @@ struct RawAxes {
     faults: Option<Vec<String>>,
 }
 
-struct Parser<'a> {
-    text: &'a str,
-    section: Section,
-    seen: Vec<String>,
-    schema: Option<i64>,
-    seed: u64,
-    warmup: u64,
-    iters: u64,
-    reps: u32,
-    mpx_period: u64,
-    gate_ratio: f64,
-    axes: RawAxes,
-    benches: Vec<RawBench>,
-}
-
-type PResult<T> = Result<T, MatrixParseError>;
-
-fn err<T>(line: usize, check: &'static str, msg: impl Into<String>) -> PResult<T> {
-    Err(MatrixParseError::new(line, check, msg))
-}
-
-/// Strip a `#` comment that is not inside a double-quoted string.
-fn strip_comment(line: &str) -> &str {
-    let mut in_str = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_str = !in_str,
-            '#' if !in_str => return &line[..i],
-            _ => {}
-        }
-    }
-    line
-}
-
-fn parse_scalar(tok: &str, line: usize) -> PResult<Val> {
-    let tok = tok.trim();
-    match tok {
-        "true" => return Ok(Val::Bool(true)),
-        "false" => return Ok(Val::Bool(false)),
-        "" => return err(line, "syntax", "missing value"),
-        _ => {}
-    }
-    if let Some(rest) = tok.strip_prefix('"') {
-        let Some(end) = rest.find('"') else {
-            return err(line, "syntax", "unterminated string");
-        };
-        if !rest[end + 1..].trim().is_empty() {
-            return err(line, "syntax", "trailing characters after string");
-        }
-        return Ok(Val::Str(rest[..end].to_string()));
-    }
-    if let Ok(i) = tok.parse::<i64>() {
-        return Ok(Val::Int(i));
-    }
-    // Floats must look numeric: `f64::parse` would happily accept "inf"
-    // and "NaN", which no knob wants.
-    if tok
-        .chars()
-        .next()
-        .is_some_and(|c| c.is_ascii_digit() || c == '-')
-    {
-        if let Ok(f) = tok.parse::<f64>() {
-            if f.is_finite() {
-                return Ok(Val::Float(f));
-            }
-        }
-    }
-    err(line, "syntax", format!("unparseable value `{tok}`"))
-}
-
-fn parse_value(tok: &str, line: usize) -> PResult<Val> {
-    let tok = tok.trim();
-    let Some(inner) = tok.strip_prefix('[') else {
-        return parse_scalar(tok, line);
-    };
-    let Some(inner) = inner.strip_suffix(']') else {
-        return err(line, "syntax", "unterminated array");
-    };
-    if inner.contains('[') {
-        return err(line, "syntax", "nested arrays are not part of the grammar");
-    }
-    let mut items = Vec::new();
-    let mut start = 0usize;
-    let mut in_str = false;
-    for (i, c) in inner.char_indices() {
-        match c {
-            '"' => in_str = !in_str,
-            ',' if !in_str => {
-                items.push(&inner[start..i]);
-                start = i + c.len_utf8();
-            }
-            _ => {}
-        }
-    }
-    if in_str {
-        return err(line, "syntax", "unterminated string in array");
-    }
-    items.push(&inner[start..]);
-    let mut out = Vec::new();
-    for item in items {
-        if item.trim().is_empty() && out.is_empty() && items_len_is_one(inner) {
-            // `[]` — an explicitly empty array; range checks reject it
-            // later with a more specific check name.
-            continue;
-        }
-        out.push(parse_scalar(item, line)?);
-    }
-    Ok(Val::Arr(out))
-}
-
-fn items_len_is_one(inner: &str) -> bool {
-    !inner.contains(',')
-}
-
-fn as_u64(v: &Val, key: &str, line: usize) -> PResult<u64> {
-    match v {
-        Val::Int(i) if *i >= 0 => Ok(*i as u64),
-        Val::Int(_) => err(line, "range", format!("`{key}` must be non-negative")),
-        other => err(
-            line,
-            "type",
-            format!("`{key}` wants an integer, got {}", other.type_name()),
-        ),
+impl Keys {
+    /// Read a section that may set the keys in `allowed`.
+    fn read(v: &View, allowed: &[&str]) -> Result<Keys, TomlError> {
+        v.check_keys(allowed)?;
+        Ok(Keys {
+            seed: v.opt("seed", View::u64)?,
+            warmup: v.opt("warmup", View::u64)?,
+            iters: v.opt("iters", positive)?,
+            reps: v
+                .opt("reps", |v, k| v.ranged(k, 1, 1000))?
+                .map(|r| r as u32),
+            mpx_period: v.opt("mpx_period", positive)?,
+            max_ratio: v.opt("max_ratio", ratio)?,
+            substrates: v.opt("substrates", substrates)?,
+            threads: v.opt("threads", |v, k| counts(v, k, 64))?,
+            events: v.opt("events", |v, k| counts(v, k, CELL_EVENTS.len()))?,
+            mpx: v.opt("mpx", |v, k| {
+                axis(v, k, "an array of booleans", Value::as_bool)
+            })?,
+            faults: v.opt("faults", faults)?,
+        })
     }
 }
 
-fn as_pos_u64(v: &Val, key: &str, line: usize) -> PResult<u64> {
-    let n = as_u64(v, key, line)?;
-    if n == 0 {
-        return err(line, "range", format!("`{key}` must be positive"));
-    }
-    Ok(n)
+fn positive(v: &View, key: &str) -> Result<u64, TomlError> {
+    Ok(v.ranged(key, 1, i64::MAX)? as u64)
 }
 
-fn as_ratio(v: &Val, key: &str, line: usize) -> PResult<f64> {
-    let f = match v {
-        Val::Float(f) => *f,
-        Val::Int(i) => *i as f64,
-        other => {
-            return err(
-                line,
-                "type",
-                format!("`{key}` wants a number, got {}", other.type_name()),
-            )
-        }
-    };
-    if !(f > 1.0 && f.is_finite()) {
-        return err(
-            line,
-            "range",
-            format!("`{key}` must be a finite ratio > 1.0 (got {f})"),
-        );
+fn ratio(v: &View, key: &str) -> Result<f64, TomlError> {
+    let f = v.float(key)?;
+    if f <= 1.0 {
+        return Err(v.err(
+            key,
+            "bad-value",
+            format!("{}.{key} must be a ratio > 1.0 (got {f})", v.what),
+        ));
     }
     Ok(f)
 }
 
-fn as_str_arr(v: &Val, key: &str, line: usize) -> PResult<Vec<String>> {
-    let Val::Arr(items) = v else {
-        return err(
-            line,
-            "type",
-            format!("`{key}` wants an array of strings, got {}", v.type_name()),
-        );
-    };
-    let mut out = Vec::new();
-    for item in items {
-        let Val::Str(s) = item else {
-            return err(
-                line,
-                "type",
-                format!("`{key}` wants strings, got {}", item.type_name()),
-            );
-        };
-        out.push(s.clone());
+/// A non-empty axis (`axis-empty` otherwise) of items `item` accepts.
+fn axis<'a, T>(
+    v: &View<'a>,
+    key: &str,
+    want: &str,
+    item: impl Fn(&'a Value) -> Option<T>,
+) -> Result<Vec<T>, TomlError> {
+    let items = v.array_of(key, want, item)?;
+    if items.is_empty() {
+        return Err(v.err(key, "axis-empty", format!("{}.{key} axis is empty", v.what)));
     }
-    if out.is_empty() {
-        return err(line, "axis-empty", format!("`{key}` axis is empty"));
-    }
-    Ok(out)
+    Ok(items)
 }
 
-fn as_usize_arr(v: &Val, key: &str, line: usize, max: usize) -> PResult<Vec<usize>> {
-    let Val::Arr(items) = v else {
-        return err(
-            line,
-            "type",
-            format!("`{key}` wants an array of integers, got {}", v.type_name()),
-        );
-    };
-    let mut out = Vec::new();
-    for item in items {
-        let n = as_u64(item, key, line)? as usize;
-        if n == 0 || n > max {
-            return err(
-                line,
-                "range",
-                format!("`{key}` values must be in 1..={max}"),
-            );
-        }
-        out.push(n);
-    }
-    if out.is_empty() {
-        return err(line, "axis-empty", format!("`{key}` axis is empty"));
-    }
-    Ok(out)
+fn counts(v: &View, key: &str, max: usize) -> Result<Vec<usize>, TomlError> {
+    axis(v, key, "an array of integers", Value::as_int)?
+        .into_iter()
+        .map(|n| match usize::try_from(n) {
+            Ok(n) if (1..=max).contains(&n) => Ok(n),
+            _ => Err(v.err(
+                key,
+                "int-range",
+                format!("{}.{key} = {n} out of range 1..={max}", v.what),
+            )),
+        })
+        .collect()
 }
 
-fn as_bool_arr(v: &Val, key: &str, line: usize) -> PResult<Vec<bool>> {
-    let Val::Arr(items) = v else {
-        return err(
-            line,
-            "type",
-            format!("`{key}` wants an array of bools, got {}", v.type_name()),
-        );
-    };
-    let mut out = Vec::new();
-    for item in items {
-        let Val::Bool(b) = item else {
-            return err(
-                line,
-                "type",
-                format!("`{key}` wants bools, got {}", item.type_name()),
-            );
-        };
-        out.push(*b);
-    }
-    if out.is_empty() {
-        return err(line, "axis-empty", format!("`{key}` axis is empty"));
-    }
-    Ok(out)
+fn strings(v: &View, key: &str) -> Result<Vec<String>, TomlError> {
+    let items = axis(v, key, "an array of strings", Value::as_str)?;
+    Ok(items.into_iter().map(str::to_string).collect())
 }
 
-fn check_substrates(subs: &[String], line: usize) -> PResult<()> {
-    for s in subs {
+fn substrates(v: &View, key: &str) -> Result<Vec<String>, TomlError> {
+    let subs = strings(v, key)?;
+    for s in &subs {
         if s.is_empty() {
-            return err(line, "substrate", "empty substrate name");
+            return Err(v.err(key, "substrate", "empty substrate name"));
         }
         if s.ends_with("/static") && s != "sim:x86/static" {
-            return err(
-                line,
+            return Err(v.err(
+                key,
                 "substrate",
                 format!("`{s}`: only sim:x86/static has a monomorphized session"),
-            );
+            ));
         }
     }
-    Ok(())
+    Ok(subs)
 }
 
-fn check_faults(faults: &[String], line: usize) -> PResult<()> {
-    for f in faults {
+fn faults(v: &View, key: &str) -> Result<Vec<String>, TomlError> {
+    let faults = strings(v, key)?;
+    for f in &faults {
         if f.is_empty() {
-            return err(line, "fault", "empty fault schedule name");
+            return Err(v.err(key, "fault", "empty fault schedule name"));
         }
         if !f
             .chars()
             .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-' || c == '=' || c == ',')
         {
-            return err(line, "fault", format!("`{f}`: bad fault schedule spelling"));
+            return Err(v.err(key, "fault", format!("`{f}`: bad fault schedule spelling")));
         }
     }
-    Ok(())
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            text,
-            section: Section::Root,
-            seen: Vec::new(),
-            schema: None,
-            seed: 42,
-            warmup: 64,
-            iters: 2048,
-            reps: 1,
-            mpx_period: 5000,
-            gate_ratio: 1.5,
-            axes: RawAxes::default(),
-            benches: Vec::new(),
-        }
-    }
-
-    fn run(mut self) -> PResult<MatrixConfig> {
-        let mut n_lines = 0usize;
-        let lines: Vec<&str> = self.text.lines().collect();
-        for (i, raw) in lines.iter().enumerate() {
-            n_lines = i + 1;
-            let line = strip_comment(raw).trim();
-            if line.is_empty() {
-                continue;
-            }
-            if line.starts_with('[') {
-                self.enter_section(line, n_lines)?;
-            } else {
-                self.key_val(line, n_lines)?;
-            }
-        }
-        self.finish(n_lines + 1)
-    }
-
-    fn enter_section(&mut self, line: &str, no: usize) -> PResult<()> {
-        self.seen.clear();
-        if line == "[[bench]]" {
-            self.section = Section::Bench;
-            self.benches.push(RawBench {
-                line: no,
-                ..RawBench::default()
-            });
-            return Ok(());
-        }
-        if line.starts_with("[[") {
-            return err(
-                no,
-                "section",
-                format!("`{line}`: only [[bench]] is an array of tables"),
-            );
-        }
-        let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) else {
-            return err(no, "syntax", format!("malformed section header `{line}`"));
-        };
-        self.section = match name {
-            "matrix" => Section::Matrix,
-            "gate" => Section::Gate,
-            "axes" => Section::Axes,
-            "bench" => {
-                return err(no, "section", "[bench] must be written [[bench]]");
-            }
-            other => return err(no, "section", format!("unknown section `[{other}]`")),
-        };
-        Ok(())
-    }
-
-    fn key_val(&mut self, line: &str, no: usize) -> PResult<()> {
-        let Some((key, val)) = line.split_once('=') else {
-            return err(
-                no,
-                "syntax",
-                format!("expected `key = value`, got `{line}`"),
-            );
-        };
-        let key = key.trim();
-        if key.is_empty() || !key.chars().all(|c| c.is_ascii_lowercase() || c == '_') {
-            return err(no, "syntax", format!("bad key `{key}`"));
-        }
-        if self.seen.iter().any(|k| k == key) {
-            return err(
-                no,
-                "key",
-                format!("duplicate key `{key}` in {}", self.section.name()),
-            );
-        }
-        self.seen.push(key.to_string());
-        let v = parse_value(val, no)?;
-        match self.section {
-            Section::Root => self.root_key(key, &v, no),
-            Section::Matrix => self.matrix_key(key, &v, no),
-            Section::Gate => self.gate_key(key, &v, no),
-            Section::Axes => self.axes_key(key, &v, no),
-            Section::Bench => self.bench_key(key, &v, no),
-        }
-    }
-
-    fn root_key(&mut self, key: &str, v: &Val, no: usize) -> PResult<()> {
-        match key {
-            "schema" => {
-                let Val::Int(i) = v else {
-                    return err(no, "schema", "`schema` must be an integer");
-                };
-                if *i != SCHEMA_VERSION {
-                    return err(
-                        no,
-                        "schema",
-                        format!("unsupported schema {i} (this parser reads {SCHEMA_VERSION})"),
-                    );
-                }
-                self.schema = Some(*i);
-                Ok(())
-            }
-            other => err(no, "key", format!("unknown top-level key `{other}`")),
-        }
-    }
-
-    fn matrix_key(&mut self, key: &str, v: &Val, no: usize) -> PResult<()> {
-        match key {
-            "seed" => self.seed = as_u64(v, key, no)?,
-            "warmup" => self.warmup = as_u64(v, key, no)?,
-            "iters" => self.iters = as_pos_u64(v, key, no)?,
-            "reps" => {
-                let r = as_pos_u64(v, key, no)?;
-                if r > 1000 {
-                    return err(no, "range", "`reps` must be in 1..=1000");
-                }
-                self.reps = r as u32;
-            }
-            "mpx_period" => self.mpx_period = as_pos_u64(v, key, no)?,
-            other => return err(no, "key", format!("unknown [matrix] key `{other}`")),
-        }
-        Ok(())
-    }
-
-    fn gate_key(&mut self, key: &str, v: &Val, no: usize) -> PResult<()> {
-        match key {
-            "max_ratio" => self.gate_ratio = as_ratio(v, key, no)?,
-            other => return err(no, "key", format!("unknown [gate] key `{other}`")),
-        }
-        Ok(())
-    }
-
-    fn axes_key(&mut self, key: &str, v: &Val, no: usize) -> PResult<()> {
-        match key {
-            "substrates" => {
-                let subs = as_str_arr(v, key, no)?;
-                check_substrates(&subs, no)?;
-                self.axes.substrates = Some(subs);
-            }
-            "threads" => self.axes.threads = Some(as_usize_arr(v, key, no, 64)?),
-            "events" => self.axes.events = Some(as_usize_arr(v, key, no, CELL_EVENTS.len())?),
-            "mpx" => self.axes.mpx = Some(as_bool_arr(v, key, no)?),
-            "faults" => {
-                let faults = as_str_arr(v, key, no)?;
-                check_faults(&faults, no)?;
-                self.axes.faults = Some(faults);
-            }
-            other => return err(no, "key", format!("unknown [axes] key `{other}`")),
-        }
-        Ok(())
-    }
-
-    fn bench_key(&mut self, key: &str, v: &Val, no: usize) -> PResult<()> {
-        let b = self.benches.last_mut().expect("in a [[bench]] section");
-        match key {
-            "name" => {
-                let Val::Str(s) = v else {
-                    return err(no, "type", "`name` wants a string");
-                };
-                if s.is_empty()
-                    || !s
-                        .chars()
-                        .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
-                {
-                    return err(no, "bench-name", format!("bad bench name `{s}`"));
-                }
-                b.name = Some(s.clone());
-            }
-            "op" => {
-                let Val::Str(s) = v else {
-                    return err(no, "type", "`op` wants a string");
-                };
-                let Some(op) = Op::parse(s) else {
-                    return err(
-                        no,
-                        "op",
-                        format!("unknown op `{s}` (read_into | read | accum)"),
-                    );
-                };
-                b.op = Some(op);
-            }
-            "substrates" => {
-                let subs = as_str_arr(v, key, no)?;
-                check_substrates(&subs, no)?;
-                b.substrates = Some(subs);
-            }
-            "threads" => b.threads = Some(as_usize_arr(v, key, no, 64)?),
-            "events" => b.events = Some(as_usize_arr(v, key, no, CELL_EVENTS.len())?),
-            "mpx" => b.mpx = Some(as_bool_arr(v, key, no)?),
-            "faults" => {
-                let faults = as_str_arr(v, key, no)?;
-                check_faults(&faults, no)?;
-                b.faults = Some(faults);
-            }
-            "iters" => b.iters = Some(as_pos_u64(v, key, no)?),
-            "warmup" => b.warmup = Some(as_u64(v, key, no)?),
-            "reps" => {
-                let r = as_pos_u64(v, key, no)?;
-                if r > 1000 {
-                    return err(no, "range", "`reps` must be in 1..=1000");
-                }
-                b.reps = Some(r as u32);
-            }
-            "max_ratio" => b.gate_ratio = Some(as_ratio(v, key, no)?),
-            other => return err(no, "key", format!("unknown [[bench]] key `{other}`")),
-        }
-        Ok(())
-    }
-
-    fn finish(self, eof_line: usize) -> PResult<MatrixConfig> {
-        if self.schema.is_none() {
-            return err(eof_line, "schema", "missing `schema = 1`");
-        }
-        if self.benches.is_empty() {
-            return err(eof_line, "no-benches", "no [[bench]] sections");
-        }
-        let d_subs = self
-            .axes
-            .substrates
-            .unwrap_or_else(|| vec!["sim:x86".to_string()]);
-        let d_threads = self.axes.threads.unwrap_or_else(|| vec![1]);
-        let d_events = self.axes.events.unwrap_or_else(|| vec![4]);
-        let d_mpx = self.axes.mpx.unwrap_or_else(|| vec![false]);
-        let d_faults = self.axes.faults.unwrap_or_else(|| vec!["none".to_string()]);
-
-        let mut benches = Vec::new();
-        let mut names: Vec<&str> = Vec::new();
-        for raw in &self.benches {
-            let Some(name) = raw.name.as_deref() else {
-                return err(raw.line, "bench-name", "[[bench]] is missing `name`");
-            };
-            if names.contains(&name) {
-                return err(raw.line, "bench-name", format!("duplicate bench `{name}`"));
-            }
-            names.push(name);
-            let Some(op) = raw.op else {
-                return err(raw.line, "op", format!("bench `{name}` is missing `op`"));
-            };
-            let substrates = raw.substrates.clone().unwrap_or_else(|| d_subs.clone());
-            let faults = raw.faults.clone().unwrap_or_else(|| d_faults.clone());
-            if faults.iter().any(|f| f != "none")
-                && substrates.iter().any(|s| s.ends_with("/static"))
-            {
-                return err(
-                    raw.line,
-                    "fault",
-                    format!("bench `{name}`: fault schedules cannot decorate /static substrates"),
-                );
-            }
-            benches.push(BenchDef {
-                name: name.to_string(),
-                op,
-                substrates,
-                threads: raw.threads.clone().unwrap_or_else(|| d_threads.clone()),
-                events: raw.events.clone().unwrap_or_else(|| d_events.clone()),
-                mpx: raw.mpx.clone().unwrap_or_else(|| d_mpx.clone()),
-                faults,
-                iters: raw.iters,
-                warmup: raw.warmup,
-                reps: raw.reps,
-                gate_ratio: raw.gate_ratio,
-            });
-        }
-        Ok(MatrixConfig {
-            seed: self.seed,
-            warmup: self.warmup,
-            iters: self.iters,
-            reps: self.reps,
-            mpx_period: self.mpx_period,
-            gate_ratio: self.gate_ratio,
-            benches,
-        })
-    }
+    Ok(faults)
 }
 
 #[cfg(test)]
@@ -935,18 +510,22 @@ mod tests {
     #[test]
     fn errors_name_check_and_line() {
         for (text, check, line) in [
-            ("schema = 2\n", "schema", 1),
-            ("[[bench]]\nname = \"a\"\nop = \"read\"\n", "schema", 4),
-            ("schema = 1\n", "no-benches", 2),
-            ("schema = 1\n[nope]\n", "section", 2),
-            ("schema = 1\n[matrix]\nbogus = 1\n", "key", 3),
-            ("schema = 1\n[matrix]\niters = 0\n", "range", 3),
-            ("schema = 1\n[matrix]\niters = \"many\"\n", "type", 3),
-            ("schema = 1\n[gate]\nmax_ratio = 1.0\n", "range", 3),
+            ("schema = 2\n", "schema-version", 1),
+            (
+                "[[bench]]\nname = \"a\"\nop = \"read\"\n",
+                "schema-version",
+                0,
+            ),
+            ("schema = 1\n", "no-benches", 0),
+            ("schema = 1\n[nope]\n", "unknown-section", 2),
+            ("schema = 1\n[matrix]\nbogus = 1\n", "unknown-key", 3),
+            ("schema = 1\n[matrix]\niters = 0\n", "int-range", 3),
+            ("schema = 1\n[matrix]\niters = \"many\"\n", "bad-value", 3),
+            ("schema = 1\n[gate]\nmax_ratio = 1.0\n", "bad-value", 3),
             ("schema = 1\n[axes]\nthreads = []\n", "axis-empty", 3),
-            ("schema = 1\n[axes]\nthreads = [0]\n", "range", 3),
-            ("schema = 1\n[[bench]]\nop = \"read\"\n", "bench-name", 2),
-            ("schema = 1\n[[bench]]\nname = \"a\"\n", "op", 2),
+            ("schema = 1\n[axes]\nthreads = [0]\n", "int-range", 3),
+            ("schema = 1\n[[bench]]\nop = \"read\"\n", "missing-key", 2),
+            ("schema = 1\n[[bench]]\nname = \"a\"\n", "missing-key", 2),
             (
                 "schema = 1\n[[bench]]\nname = \"a\"\nop = \"frob\"\n",
                 "op",
@@ -954,7 +533,7 @@ mod tests {
             ),
             (
                 "schema = 1\n[[bench]]\nname = \"a\"\nname = \"b\"\n",
-                "key",
+                "duplicate-key",
                 4,
             ),
             ("schema = 1\nwat\n", "syntax", 2),

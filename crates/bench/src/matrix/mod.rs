@@ -19,9 +19,7 @@ pub mod pp;
 pub mod report;
 pub mod runner;
 
-pub use config::{
-    compose_fault, dispatch_of, CellSpec, Dispatch, MatrixConfig, MatrixParseError, Op, CELL_EVENTS,
-};
+pub use config::{compose_fault, dispatch_of, CellSpec, Dispatch, MatrixConfig, Op, CELL_EVENTS};
 pub use pp::{harmonic_pp, score_matrix, BenchScore, SubstrateEff};
 pub use report::{
     diff_against_baseline, diff_against_parsed, parse_matrix_json, render_matrix_json,

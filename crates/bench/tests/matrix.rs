@@ -1,9 +1,10 @@
 //! Matrix-runner correctness: seeded determinism, baseline regression
-//! naming, barrier-start synchrony, config-corpus robustness, and the
-//! report round trips the regression gate depends on.
+//! naming, barrier-start synchrony, and the report round trips the
+//! regression gate depends on.  The config reader's mutation corpus lives
+//! with the platform files' in the workspace `tests/props.rs`.
 //!
 //! Everything here runs tiny cell sizes — the properties under test
-//! (determinism, line addressing, spread, parser structure) are exact, so
+//! (determinism, line addressing, spread) are exact, so
 //! they hold at 64 iters as firmly as at a million.
 
 use papi_bench::bench_json;
@@ -253,103 +254,6 @@ fn matrix_obs_counters_flow() {
     assert_eq!(obs.get(Counter::MatrixCellsRun), 2);
     assert_eq!(obs.get(Counter::MatrixCellsUnsupported), 1);
     assert_eq!(obs.get(Counter::MatrixThreadsLaunched), 1 + 4 + 2);
-}
-
-/// Robustness corpus: every mutation of the shipped matrix config must
-/// yield either a valid config or a structured [`MatrixParseError`] with a
-/// named check and an in-range line number — never a panic. Seeded, so a
-/// failure reproduces with the printed (op, round).
-#[test]
-fn mutated_matrix_config_never_panics() {
-    use simcpu::rng::SmallRng;
-
-    let shipped = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../benches/matrix.toml"
-    ))
-    .expect("benches/matrix.toml readable");
-    // The shipped file itself must parse before we start breaking it.
-    MatrixConfig::parse(&shipped).expect("shipped matrix.toml parses");
-
-    let mut rng = SmallRng::seed_from_u64(0x00AB_5EED_BE9C_4001);
-    let named = |c: &str| !c.is_empty() && c.chars().all(|ch| ch.is_ascii_graphic());
-    for round in 0..300u32 {
-        let op = rng.gen_range(0..5u8);
-        let mutated = mutate(&shipped, op, &mut rng);
-        let label = format!("op={op} round={round}");
-        let got = std::panic::catch_unwind(|| MatrixConfig::parse(&mutated));
-        let Ok(result) = got else {
-            panic!("matrix parser panicked on mutated input ({label})");
-        };
-        if let Err(e) = result {
-            assert!(named(e.check), "unnamed check for {label}: {e:?}");
-            let lines = mutated.lines().count();
-            assert!(
-                e.line <= lines + 1,
-                "line {} out of range ({lines} lines) for {label}",
-                e.line
-            );
-            let shown = format!("{e}");
-            assert!(
-                shown.contains(&format!("[{}]", e.check)),
-                "display lost the check name for {label}: {shown}"
-            );
-        }
-    }
-
-    fn mutate(text: &str, op: u8, rng: &mut SmallRng) -> String {
-        let lines: Vec<&str> = text.lines().collect();
-        match op {
-            // Truncate at an arbitrary char boundary (torn write).
-            0 => {
-                let cut = rng.gen_range(0..=text.len());
-                let cut = (cut..=text.len())
-                    .find(|&i| text.is_char_boundary(i))
-                    .unwrap();
-                text[..cut].to_string()
-            }
-            // Delete one line.
-            1 => {
-                let victim = rng.gen_range(0..lines.len());
-                lines
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != victim)
-                    .map(|(_, l)| *l)
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            }
-            // Corrupt one character.
-            2 => {
-                let mut bytes = text.as_bytes().to_vec();
-                let i = rng.gen_range(0..bytes.len());
-                bytes[i] = rng.gen_range(b' '..=b'~');
-                String::from_utf8_lossy(&bytes).into_owned()
-            }
-            // Duplicate one line (duplicate keys/sections).
-            3 => {
-                let victim = rng.gen_range(0..lines.len());
-                let mut out: Vec<&str> = Vec::with_capacity(lines.len() + 1);
-                for (i, l) in lines.iter().enumerate() {
-                    out.push(l);
-                    if i == victim {
-                        out.push(l);
-                    }
-                }
-                out.join("\n")
-            }
-            // Insert a garbage line at a random spot.
-            _ => {
-                let garbage: String = (0..rng.gen_range(1..40usize))
-                    .map(|_| rng.gen_range(b' '..=b'~') as char)
-                    .collect();
-                let at = rng.gen_range(0..=lines.len());
-                let mut out: Vec<&str> = lines.clone();
-                out.insert(at, &garbage);
-                out.join("\n")
-            }
-        }
-    }
 }
 
 /// The matrix report round-trips: every rendered cell parses back with

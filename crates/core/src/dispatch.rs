@@ -721,7 +721,7 @@ impl<S: Substrate> Papi<S> {
     /// session fields are destructured once into disjoint borrows, so the
     /// cached plan, assignment and scratch are each derived exactly once
     /// per call — one batch kernel crossing, then the vectorized
-    /// [`ReadPlan::apply`]. This is what closed the boxed-vs-static gap:
+    /// `ReadPlan::apply`. This is what closed the boxed-vs-static gap:
     /// the boxed-substrate path previously re-derived the `running` record
     /// (and with it the plan pointer) three times per read, which the
     /// optimizer could not fold across virtual-dispatch boundaries.

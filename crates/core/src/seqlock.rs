@@ -28,7 +28,7 @@
 //! location is ever read concurrently with a write.
 //!
 //! Spin waits yield to the scheduler after a short burst
-//! ([`SPINS_BEFORE_YIELD`]) so a single-core host (CI containers) makes
+//! (`SPINS_BEFORE_YIELD`) so a single-core host (CI containers) makes
 //! progress even when an inspector collides with a long-running owner
 //! operation such as `run_app`.
 

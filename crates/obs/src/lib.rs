@@ -20,7 +20,8 @@
 //! * **snapshot/export** ([`export::Snapshot`]) as flat JSON and
 //!   Prometheus-style text exposition;
 //! * the suite's one **JSON codec** ([`json`]), shared by every crate that
-//!   reads or writes JSON.
+//!   reads or writes JSON, and its one **TOML-subset reader** ([`toml`]),
+//!   under the platform-model files and the benchmark-matrix config.
 //!
 //! The whole layer hangs off an `Option<ObsHandle>` inside the core `Papi`
 //! context: when no handle is attached (the default), every instrumentation
@@ -39,6 +40,7 @@ pub mod histogram;
 pub mod journal;
 pub mod json;
 pub mod registry;
+pub mod toml;
 
 pub use export::{CounterSample, HistogramSample, Snapshot};
 pub use histogram::{HistSnapshot, LogHistogram};

@@ -42,9 +42,7 @@ pub mod tlb;
 
 pub use isa::{AddrGen, BranchPat, Inst};
 pub use machine::{Granularity, MachError, Machine, MemInfo, RunExit, ThreadId, Truth};
-pub use platform::model::{
-    load_platform_file, parse_platform, render_platform, PlatformParseError,
-};
+pub use platform::model::{load_platform_file, parse_platform, render_platform};
 pub use platform::{
     all_platforms, platform_by_name, CostModel, PipelineCfg, PipelineKind, PlatformSpec,
 };

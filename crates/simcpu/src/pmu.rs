@@ -410,7 +410,7 @@ impl Pmu {
 
     /// Record `n` occurrences of `kind` in the given privilege mode.
     ///
-    /// Dispatches through the flat [`Pmu::incr`] table (rebuilt by
+    /// Dispatches through the flat `Pmu::incr` table (rebuilt by
     /// `program()`) instead of scanning every counter's heap-allocated
     /// `kinds` list: `record` runs on every simulated instruction batch
     /// *and* every costed kernel crossing, so the per-call constant is

@@ -1136,3 +1136,141 @@ fn json_reader_survives_mutation_corpus() {
         Some("\u{1F600}")
     );
 }
+
+/// Robustness corpus for the one TOML-subset reader, through both of its
+/// interpreters: seeded mutations (torn writes, deleted, corrupted and
+/// duplicated lines, garbage lines) of the nine platform files and of
+/// `benches/matrix.toml`.  Every mutant must parse or fail with a named
+/// check at an in-range line, never panic; each corpus keeps its own seed,
+/// so a failure reproduces from the printed (file, op, round).  Hostile
+/// values — deep nesting and stacked signs — are `syntax` in both formats.
+#[test]
+fn toml_readers_survive_mutation_corpus() {
+    use papi_bench::matrix::MatrixConfig;
+    use papi_suite::obs::toml::TomlError;
+
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |path: &str| std::fs::read_to_string(root.join(path)).unwrap();
+    type Reader = fn(&str) -> Result<(), TomlError>;
+    let platform: Reader = |src| simcpu::parse_platform(src).map(drop);
+    let matrix: Reader = |src| MatrixConfig::parse(src).map(drop);
+
+    let check = |label: &str, src: &str, parse: Reader| {
+        let Ok(result) = std::panic::catch_unwind(|| parse(src)) else {
+            panic!("reader panicked on mutated input ({label})");
+        };
+        if let Err(e) = result {
+            let named = !e.check.is_empty() && e.check.chars().all(|c| c.is_ascii_graphic());
+            assert!(named, "unnamed check for {label}: {e:?}");
+            let lines = src.lines().count();
+            assert!(
+                e.line <= lines + 1,
+                "line {} out of range ({lines} lines) for {label}",
+                e.line
+            );
+            let shown = format!("{e}");
+            assert!(
+                shown.contains(&format!("[{}]", e.check)),
+                "display lost the check name for {label}: {shown}"
+            );
+        }
+    };
+
+    // The eight embedded builtins plus the data-only sim-rv64 file.
+    let mut platforms: Vec<(&str, String)> = simcpu::platform::files::BUILTIN
+        .iter()
+        .map(|&(name, text)| (name, text.to_string()))
+        .collect();
+    platforms.push(("sim-rv64", read("platforms/sim-rv64.toml")));
+    let mut rng = SmallRng::seed_from_u64(0x00D1_CE5E_ED00_7001);
+    for (name, text) in &platforms {
+        platform(text).unwrap();
+        for round in 0..60u32 {
+            let op = rng.gen_range(0..5u8);
+            let mutated = mutate(text, op, &mut rng);
+            check(&format!("{name} op={op} round={round}"), &mutated, platform);
+        }
+    }
+
+    let shipped = read("benches/matrix.toml");
+    matrix(&shipped).expect("shipped matrix.toml parses");
+    let mut rng = SmallRng::seed_from_u64(0x00AB_5EED_BE9C_4001);
+    for round in 0..300u32 {
+        let op = rng.gen_range(0..5u8);
+        let mutated = mutate(&shipped, op, &mut rng);
+        check(&format!("matrix op={op} round={round}"), &mutated, matrix);
+    }
+
+    // Hostile values, each on a known line of each format.
+    let deep = format!("{}1", "[".repeat(100_000));
+    for value in [deep.as_str(), "--1000", "-0x-3E8", "0x-3E8"] {
+        for (src, key, parse) in [
+            (&platforms[0].1, "clock_mhz = 1000", platform),
+            (&shipped, "seed = 42", matrix),
+        ] {
+            let line = 1 + src.lines().position(|l| l == key).unwrap();
+            let (name, _) = key.split_once(" = ").unwrap();
+            let hostile = src.replacen(key, &format!("{name} = {value}"), 1);
+            let e = parse(&hostile).unwrap_err();
+            assert_eq!(
+                (e.check, e.line),
+                ("syntax", line),
+                "{name} = {value:.20}: {e}"
+            );
+        }
+    }
+
+    fn mutate(text: &str, op: u8, rng: &mut SmallRng) -> String {
+        let lines: Vec<&str> = text.lines().collect();
+        match op {
+            // Truncate at an arbitrary char boundary (torn write).
+            0 => {
+                let cut = rng.gen_range(0..=text.len());
+                let cut = (cut..=text.len())
+                    .find(|&i| text.is_char_boundary(i))
+                    .unwrap();
+                text[..cut].to_string()
+            }
+            // Delete one line.
+            1 => {
+                let victim = rng.gen_range(0..lines.len());
+                lines
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| i != victim)
+                    .map(|(_, l)| *l)
+                    .collect::<Vec<_>>()
+                    .join("\n")
+            }
+            // Corrupt one character.
+            2 => {
+                let mut bytes = text.as_bytes().to_vec();
+                let i = rng.gen_range(0..bytes.len());
+                bytes[i] = rng.gen_range(b' '..=b'~');
+                String::from_utf8_lossy(&bytes).into_owned()
+            }
+            // Duplicate one line (duplicate keys, sections, events).
+            3 => {
+                let victim = rng.gen_range(0..lines.len());
+                let mut out: Vec<&str> = Vec::with_capacity(lines.len() + 1);
+                for (i, l) in lines.iter().enumerate() {
+                    out.push(l);
+                    if i == victim {
+                        out.push(l);
+                    }
+                }
+                out.join("\n")
+            }
+            // Insert a garbage line at a random spot.
+            _ => {
+                let garbage: String = (0..rng.gen_range(1..40usize))
+                    .map(|_| rng.gen_range(b' '..=b'~') as char)
+                    .collect();
+                let at = rng.gen_range(0..=lines.len());
+                let mut out: Vec<&str> = lines.clone();
+                out.insert(at, &garbage);
+                out.join("\n")
+            }
+        }
+    }
+}
