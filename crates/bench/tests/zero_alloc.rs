@@ -10,10 +10,11 @@
 //! records with allocations by design).
 
 use papi_bench::{papi_named, papi_on};
-use papi_core::{Papi, Preset, Substrate};
+use papi_core::{AppExit, Papi, Preset, SimSubstrate, Substrate};
 use papi_obs::alloc_track::count_in;
-use papi_workloads::dense_fp;
+use papi_workloads::{dense_fp, pingpong, strided_stream};
 use simcpu::platform::sim_x86;
+use simcpu::Machine;
 
 const EVENTS: [Preset; 4] = [Preset::TotCyc, Preset::TotIns, Preset::LdIns, Preset::SrIns];
 
@@ -79,6 +80,40 @@ fn read_into_stays_allocation_free_with_obs_attached() {
     papi.attach_obs(obs.clone());
     assert_steady_state_alloc_free(&mut papi, "static+obs");
     assert!(obs.get(papi_obs::Counter::Reads) > 0);
+}
+
+#[test]
+fn simulated_execution_is_allocation_free_in_steady_state() {
+    // Every `run_for` slice retires thousands of simulated instructions;
+    // once caches, TLBs, the page set and the message channels are warm,
+    // none of them may touch the heap: not a compute loop, not an
+    // L1-resident stream (2 x 2 KiB), not two threads blocking and waking
+    // each other through channels.
+    let cases = [
+        ("dense_fp", vec![dense_fp(1_000_000, 4, 2).program]),
+        (
+            "strided_stream",
+            vec![strided_stream(2048, 8, 100_000).program],
+        ),
+        ("pingpong", pingpong(1_000_000, 3).programs),
+    ];
+    for (label, programs) in cases {
+        let mut m = Machine::new(sim_x86(), 1);
+        for p in programs {
+            m.load(p);
+        }
+        let mut papi = Papi::init(SimSubstrate::new(m)).unwrap();
+        started_4ev(&mut papi);
+        for _ in 0..20 {
+            assert_eq!(papi.run_for(50_000).unwrap(), AppExit::Paused, "{label}");
+        }
+        let ((), allocs) = count_in(|| {
+            for _ in 0..20 {
+                papi.run_for(50_000).unwrap();
+            }
+        });
+        assert_eq!(allocs, 0, "{label}: run_for allocated in steady state");
+    }
 }
 
 #[test]

@@ -86,7 +86,9 @@ impl Cache {
         let n = self.len[si] as usize;
         let set = &mut self.tags[si * self.assoc..][..self.assoc];
         if let Some(pos) = set[..n].iter().position(|&t| t == tag) {
-            set[..=pos].rotate_right(1); // move to MRU
+            if pos > 0 {
+                set[..=pos].rotate_right(1); // move to MRU
+            }
             true
         } else {
             // Insert at MRU, shifting the rest down; the LRU way falls off

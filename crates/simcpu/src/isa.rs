@@ -31,13 +31,41 @@ pub enum AddrGen {
 }
 
 impl AddrGen {
+    /// True when every address this generator can produce, and every
+    /// cursor step on the way there, fits in a `u64`.
+    pub(crate) fn fits_u64(&self) -> bool {
+        let (base, last) = match *self {
+            AddrGen::Stride { base, stride, len } => {
+                let last = len.max(1) - 1;
+                if stride.checked_add(last).is_none() {
+                    return false;
+                }
+                (base, last)
+            }
+            AddrGen::Rand { base, len } => (base, ((len / 8).max(1) - 1) * 8),
+            AddrGen::Fixed { .. } => return true,
+            AddrGen::Chase { base, len } => (base, ((len / 64).max(1) - 1) * 64),
+        };
+        base.checked_add(last).is_some()
+    }
+
     /// Produce the next effective address, updating `cursor` (per-thread
     /// instruction state) and drawing from `rand_word` when random.
     pub fn next(&self, cursor: &mut u64, rand_word: u64) -> u64 {
         match *self {
             AddrGen::Stride { base, stride, len } => {
                 let a = base + *cursor;
-                *cursor = (*cursor + stride) % len.max(1);
+                // `(cursor + stride) % span`, dividing only when the step
+                // overshoots the region by a whole span or more.
+                let span = len.max(1);
+                let next = *cursor + stride;
+                *cursor = if next < span {
+                    next
+                } else if next - span < span {
+                    next - span
+                } else {
+                    next % span
+                };
                 a
             }
             AddrGen::Rand { base, len } => {
@@ -52,7 +80,12 @@ impl AddrGen {
                 // so the walk visits every line with no spatial locality.
                 let lines = (len / 64).max(1);
                 let line = *cursor / 64;
-                let next_line = (line.wrapping_mul(2654435761).wrapping_add(12345)) % lines;
+                let next = line.wrapping_mul(2654435761).wrapping_add(12345);
+                let next_line = if lines.is_power_of_two() {
+                    next & (lines - 1)
+                } else {
+                    next % lines
+                };
                 *cursor = next_line * 64;
                 a
             }

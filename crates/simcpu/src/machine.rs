@@ -11,6 +11,20 @@
 //! methods, which charge the platform's [`crate::platform::CostModel`] in
 //! simulated kernel-mode cycles and pollute the data cache — so measurement
 //! overhead and perturbation are *emergent*, not asserted.
+//!
+//! # When the PMU sees user-mode signals
+//!
+//! A retired instruction adds its signals to a per-kind array, and the
+//! array reaches the PMU in one [`Pmu::record_user`] call. While an overflow
+//! threshold is armed or ground truth is recorded, that call happens after
+//! every instruction. Otherwise it happens only where counts can be
+//! observed or charged: before [`Machine::run`] returns, before
+//! [`Machine::consume_kernel`] charges kernel cycles, and before a context
+//! switch saves the outgoing thread's counters. Blocked time
+//! (`MsgBlockCycles`) joins the same array. So **outside `run()` the PMU is
+//! always current**, and a batch gives the same registers as per-instruction
+//! recording: counts are sums, register wrap is modular, and thresholds are
+//! live only on the per-instruction path.
 
 use crate::branch::BranchPredictor;
 use crate::cache::Cache;
@@ -21,7 +35,7 @@ use crate::program::Program;
 use crate::rng::SmallRng;
 use crate::tlb::{Tlb, PAGE_SIZE};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifies a thread on the machine.
 pub type ThreadId = u32;
@@ -96,15 +110,56 @@ impl std::fmt::Display for MachError {
 
 impl std::error::Error for MachError {}
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct InstState {
     ctr: u64,
     cursor: u64,
+    /// Page this memory instruction touched last, so already in the
+    /// thread's page set (`u64::MAX`, no page, before its first access).
+    page: u64,
 }
+
+impl InstState {
+    const FRESH: InstState = InstState {
+        ctr: 0,
+        cursor: 0,
+        page: u64::MAX,
+    };
+}
+
+/// One-multiply hasher for the machine's integer-keyed tables (page
+/// numbers, channel ids), which SipHash would charge to every simulated
+/// load and store. Nothing iterates these tables, so the hash decides
+/// speed only, never a statistic.
+#[derive(Default)]
+struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.write_u64(n as u64);
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let x = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = x ^ (x >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type IntHash = BuildHasherDefault<IntHasher>;
 
 #[derive(Debug)]
 struct Thread {
-    program: Arc<Program>,
+    program: Program,
     pc: usize,
     stack: Vec<usize>,
     state: Vec<InstState>,
@@ -115,7 +170,7 @@ struct Thread {
     blocked_since: u64,
     /// Cycles spent in user mode on behalf of this thread (virtual time).
     user_cycles: u64,
-    pages: HashSet<u64>,
+    pages: HashSet<u64, IntHash>,
     peak_pages: u64,
     pmu_ctx: PmuContext,
 }
@@ -143,6 +198,10 @@ impl Truth {
         Truth {
             maps: (0..NUM_EVENT_KINDS).map(|_| HashMap::new()).collect(),
         }
+    }
+
+    fn add(&mut self, kind: usize, pc: u64, n: u64) {
+        *self.maps[kind].entry(pc).or_insert(0) += n;
     }
 
     /// True per-PC counts for `kind`.
@@ -188,7 +247,21 @@ pub struct Machine {
     quantum_next: u64,
     truth: Option<Truth>,
     /// Inter-thread message channels: available token count per channel.
-    channels: HashMap<u16, u64>,
+    channels: HashMap<u16, u64, IntHash>,
+    /// User-mode signals the PMU has not seen yet, per kind (see the
+    /// module docs for when they are flushed).
+    unflushed: [u64; NUM_EVENT_KINDS],
+    /// True while `unflushed` may be non-zero.
+    signals_pending: bool,
+}
+
+/// Indices of the set bits of an [`EventKind::bit`] mask, lowest first.
+fn kinds_in(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let k = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (k < 32).then_some(k)
+    })
 }
 
 impl Machine {
@@ -223,7 +296,9 @@ impl Machine {
             pending: Vec::new(),
             quantum_next: quantum,
             truth: None,
-            channels: HashMap::new(),
+            channels: HashMap::default(),
+            unflushed: [0; NUM_EVENT_KINDS],
+            signals_pending: false,
         }
     }
 
@@ -234,8 +309,7 @@ impl Machine {
 
     /// Load a program as a new thread; returns its id.
     pub fn load(&mut self, program: Program) -> ThreadId {
-        let program = Arc::new(program);
-        let state = vec![InstState::default(); program.insts.len()];
+        let state = vec![InstState::FRESH; program.insts.len()];
         let pc = program.entry;
         self.threads.push(Thread {
             program,
@@ -246,7 +320,7 @@ impl Machine {
             blocked_on: None,
             blocked_since: 0,
             user_cycles: 0,
-            pages: HashSet::new(),
+            pages: HashSet::default(),
             peak_pages: 0,
             pmu_ctx: PmuContext::default(),
         });
@@ -322,6 +396,7 @@ impl Machine {
     /// Advances the wall clock and feeds counters whose domain includes
     /// kernel mode, but not any thread's virtual time.
     pub fn consume_kernel(&mut self, cycles: u64) {
+        self.flush_signals();
         self.cycles += cycles;
         self.kernel_cycles += cycles;
         self.pmu.record(EventKind::Cycles, cycles, true);
@@ -500,19 +575,23 @@ impl Machine {
     // --- execution ----------------------------------------------------------
 
     /// Run until an exit condition, or until `budget` more cycles have
-    /// elapsed (if given).
+    /// elapsed (if given). The PMU is current when this returns.
     pub fn run(&mut self, budget: Option<u64>) -> RunExit {
         let deadline = budget.map(|b| self.cycles.saturating_add(b));
-        loop {
+        // Armed thresholds and truth histograms must see every instruction.
+        let per_inst = self.pmu.overflow_armed() || self.truth.is_some();
+        let exit = loop {
             if let Some(d) = deadline {
                 if self.cycles >= d {
-                    return RunExit::CycleLimit;
+                    break RunExit::CycleLimit;
                 }
             }
-            if let Some(exit) = self.step() {
-                return exit;
+            if let Some(exit) = self.step(per_inst) {
+                break exit;
             }
-        }
+        };
+        self.flush_signals();
+        exit
     }
 
     /// Convenience: run to completion, ignoring every intermediate exit
@@ -529,6 +608,16 @@ impl Machine {
                 }
                 _ => {}
             }
+        }
+    }
+
+    /// Hand the user-mode signals raised since the last flush to the PMU
+    /// in one batch.
+    fn flush_signals(&mut self) {
+        if self.signals_pending {
+            self.pmu.record_user(&self.unflushed);
+            self.unflushed = [0; NUM_EVENT_KINDS];
+            self.signals_pending = false;
         }
     }
 
@@ -549,6 +638,7 @@ impl Machine {
             self.itlb.flush();
         }
         if self.granularity == Granularity::Thread {
+            self.flush_signals();
             let ctx = self.pmu.save_context();
             self.threads[self.current].pmu_ctx = ctx;
             let next_ctx = std::mem::take(&mut self.threads[next].pmu_ctx);
@@ -592,56 +682,56 @@ impl Machine {
     /// `MsgBlockCycles` event at the blocking `Recv`'s PC.
     fn wake_blocked(&mut self, chan: u16) {
         let now = self.cycles;
-        let mut woken: Vec<(u64, u64)> = Vec::new(); // (recv pc, blocked cycles)
         for t in &mut self.threads {
             if t.blocked_on == Some(chan) {
                 t.blocked_on = None;
                 let blocked = now.saturating_sub(t.blocked_since);
                 if blocked > 0 {
-                    woken.push((Program::pc_of(t.pc), blocked));
+                    let k = EventKind::MsgBlockCycles as usize;
+                    self.unflushed[k] += blocked;
+                    self.signals_pending = true;
+                    if let Some(truth) = &mut self.truth {
+                        truth.add(k, Program::pc_of(t.pc), blocked);
+                    }
                 }
             }
-        }
-        for (pc, blocked) in woken {
-            self.pmu.record(EventKind::MsgBlockCycles, blocked, false);
-            self.record_truth(EventKind::MsgBlockCycles, pc, blocked);
-        }
-    }
-
-    fn record_truth(&mut self, kind: EventKind, pc: u64, n: u64) {
-        if let Some(t) = &mut self.truth {
-            *t.maps[kind as usize].entry(pc).or_insert(0) += n;
         }
     }
 
     /// Execute one instruction of the current thread. Returns an exit if
-    /// one must be delivered to software.
-    fn step(&mut self) -> Option<RunExit> {
-        if self.all_halted() {
-            return Some(RunExit::Halted);
-        }
-        if !self.threads.iter().any(Self::runnable) {
-            return Some(RunExit::Deadlock);
-        }
-        // Round-robin preemption.
-        if self.cycles >= self.quantum_next {
-            self.quantum_next = self.cycles + self.spec.quantum_cycles;
-            let runnable = self.threads.iter().filter(|t| Self::runnable(t)).count();
-            self.schedule(runnable > 1);
-        } else {
-            self.schedule(false);
+    /// one must be delivered to software. The instruction's signals go to
+    /// `unflushed`; with `per_inst` they reach the PMU (and the truth
+    /// histograms) before this returns.
+    fn step(&mut self, per_inst: bool) -> Option<RunExit> {
+        // The running thread keeps the core until its quantum ends.
+        let stays = self.cycles < self.quantum_next
+            && self.threads.get(self.current).is_some_and(Self::runnable);
+        if !stays {
+            if self.all_halted() {
+                return Some(RunExit::Halted);
+            }
+            if !self.threads.iter().any(Self::runnable) {
+                return Some(RunExit::Deadlock);
+            }
+            // Round-robin preemption.
+            if self.cycles >= self.quantum_next {
+                self.quantum_next = self.cycles + self.spec.quantum_cycles;
+                let runnable = self.threads.iter().filter(|t| Self::runnable(t)).count();
+                self.schedule(runnable > 1);
+            } else {
+                self.schedule(false);
+            }
         }
 
-        let tid = self.current as ThreadId;
-        let idx = self.threads[self.current].pc;
-        let program = Arc::clone(&self.threads[self.current].program);
-        debug_assert!(idx < program.insts.len(), "pc fell off program end");
-        let inst = program.insts[idx];
+        let cur = self.current;
+        let tid = cur as ThreadId;
+        let idx = self.threads[cur].pc;
+        let inst = self.threads[cur].program.insts[idx];
         let pc = Program::pc_of(idx);
 
         // --- probes trap before costing anything ---
         if let Inst::Probe { id } = inst {
-            self.threads[self.current].pc = idx + 1;
+            self.threads[cur].pc = idx + 1;
             return Some(RunExit::Probe {
                 id,
                 thread: tid,
@@ -649,7 +739,7 @@ impl Machine {
             });
         }
         if let Inst::Halt = inst {
-            self.threads[self.current].halted = true;
+            self.threads[cur].halted = true;
             if self.all_halted() {
                 return Some(RunExit::Halted);
             }
@@ -659,120 +749,118 @@ impl Machine {
         // the instruction re-executes once a sender wakes the thread.
         if let Inst::Recv { chan } = inst {
             if self.channels.get(&chan).copied().unwrap_or(0) == 0 {
-                let t = &mut self.threads[self.current];
+                let t = &mut self.threads[cur];
                 t.blocked_on = Some(chan);
                 t.blocked_since = self.cycles;
                 return None;
             }
         }
 
-        let mut cost: u64 = 1;
+        // Apart from the stall and cycle counts, every signal an
+        // instruction raises is one occurrence of its kind: a bit in
+        // `fetched` or `executed` (L2 accesses and misses can occur in
+        // both).
+        let mem = self.spec.mem;
         let mut mem_stall: u64 = 0;
-        let mut kind_mask: u32 = 0;
-        let mut daddr: Option<u64> = None;
-        let mut events: Vec<(EventKind, u64)> = Vec::with_capacity(8);
-        let mut bump = |k: EventKind, n: u64, mask: &mut u32| {
-            *mask |= k.bit();
-            events.push((k, n));
-        };
 
         // --- fetch ---
+        let mut fetched = EventKind::L1IAccess.bit();
         if !self.itlb.access(pc) {
-            bump(EventKind::ItlbMiss, 1, &mut kind_mask);
-            mem_stall += self.spec.mem.tlb_walk as u64;
+            fetched |= EventKind::ItlbMiss.bit();
+            mem_stall += mem.tlb_walk as u64;
         }
-        bump(EventKind::L1IAccess, 1, &mut kind_mask);
         if !self.l1i.access(pc) {
-            bump(EventKind::L1IMiss, 1, &mut kind_mask);
-            bump(EventKind::L2Access, 1, &mut kind_mask);
+            fetched |= EventKind::L1IMiss.bit() | EventKind::L2Access.bit();
             if self.l2.access(pc) {
-                mem_stall += self.spec.mem.l2_lat as u64;
+                mem_stall += mem.l2_lat as u64;
             } else {
-                bump(EventKind::L2Miss, 1, &mut kind_mask);
-                mem_stall += (self.spec.mem.l2_lat + self.spec.mem.mem_lat) as u64;
+                fetched |= EventKind::L2Miss.bit();
+                mem_stall += mem.l2_lat as u64 + mem.mem_lat as u64;
             }
         }
 
         // --- execute ---
+        let mut executed = EventKind::Instructions.bit();
+        let mut cost: u64 = 1;
+        let mut daddr: Option<u64> = None;
         let mut next_pc = idx + 1;
         match inst {
-            Inst::Int => bump(EventKind::IntOps, 1, &mut kind_mask),
-            Inst::FAdd => bump(EventKind::FpAdd, 1, &mut kind_mask),
-            Inst::FMul => bump(EventKind::FpMul, 1, &mut kind_mask),
-            Inst::FFma => bump(EventKind::FpFma, 1, &mut kind_mask),
+            Inst::Int => executed |= EventKind::IntOps.bit(),
+            Inst::FAdd => executed |= EventKind::FpAdd.bit(),
+            Inst::FMul => executed |= EventKind::FpMul.bit(),
+            Inst::FFma => executed |= EventKind::FpFma.bit(),
             Inst::FDiv => {
-                bump(EventKind::FpDiv, 1, &mut kind_mask);
+                executed |= EventKind::FpDiv.bit();
                 cost += self.spec.pipeline.div_latency as u64;
             }
-            Inst::FCvt => bump(EventKind::FpCvt, 1, &mut kind_mask),
+            Inst::FCvt => executed |= EventKind::FpCvt.bit(),
             Inst::Load(gen) | Inst::Store(gen) => {
                 let is_load = matches!(inst, Inst::Load(_));
                 let rand_word: u64 = self.app_rng.gen();
-                let st = &mut self.threads[self.current].state[idx];
+                let th = &mut self.threads[cur];
+                let st = &mut th.state[idx];
                 let addr = gen.next(&mut st.cursor, rand_word);
+                let page = addr / PAGE_SIZE;
+                if page != st.page {
+                    st.page = page;
+                    if th.pages.insert(page) {
+                        th.peak_pages = th.peak_pages.max(th.pages.len() as u64);
+                    }
+                }
                 daddr = Some(addr);
-                let th = &mut self.threads[self.current];
-                if th.pages.insert(addr / PAGE_SIZE) {
-                    th.peak_pages = th.peak_pages.max(th.pages.len() as u64);
-                }
-                bump(
-                    if is_load {
-                        EventKind::Loads
-                    } else {
-                        EventKind::Stores
-                    },
-                    1,
-                    &mut kind_mask,
-                );
+                executed |= if is_load {
+                    EventKind::Loads.bit()
+                } else {
+                    EventKind::Stores.bit()
+                };
                 if !self.dtlb.access(addr) {
-                    bump(EventKind::DtlbMiss, 1, &mut kind_mask);
-                    mem_stall += self.spec.mem.tlb_walk as u64;
+                    executed |= EventKind::DtlbMiss.bit();
+                    mem_stall += mem.tlb_walk as u64;
                 }
-                bump(EventKind::L1DAccess, 1, &mut kind_mask);
+                executed |= EventKind::L1DAccess.bit();
                 if !self.l1d.access(addr) {
-                    bump(EventKind::L1DMiss, 1, &mut kind_mask);
-                    bump(EventKind::L2Access, 1, &mut kind_mask);
-                    let l2_hit = self.l2.access(addr);
-                    let penalty = if l2_hit {
-                        self.spec.mem.l2_lat as u64
+                    executed |= EventKind::L1DMiss.bit() | EventKind::L2Access.bit();
+                    let penalty = if self.l2.access(addr) {
+                        mem.l2_lat as u64
                     } else {
-                        bump(EventKind::L2Miss, 1, &mut kind_mask);
-                        (self.spec.mem.l2_lat + self.spec.mem.mem_lat) as u64
+                        executed |= EventKind::L2Miss.bit();
+                        mem.l2_lat as u64 + mem.mem_lat as u64
                     };
                     // Stores drain through the write buffer: half the visible
                     // penalty of a load miss.
                     mem_stall += if is_load { penalty } else { penalty / 2 };
-                    if self.spec.mem.prefetch_next_line {
+                    if mem.prefetch_next_line {
                         // Next-line prefetch: install the successor line in
                         // L1D (and L2) off the critical path, no stats.
-                        self.l1d.install(addr + 64);
-                        self.l2.install(addr + 64);
+                        self.l1d.install(addr.wrapping_add(64));
+                        self.l2.install(addr.wrapping_add(64));
                     }
                 }
             }
             Inst::Br { pat, target } => {
                 let rand_byte: u8 = self.app_rng.gen();
-                let st = &mut self.threads[self.current].state[idx];
+                let st = &mut self.threads[cur].state[idx];
                 let taken = pat.outcome(&mut st.ctr, rand_byte);
-                bump(EventKind::Branches, 1, &mut kind_mask);
+                executed |= EventKind::Branches.bit();
                 if taken {
-                    bump(EventKind::BranchTaken, 1, &mut kind_mask);
+                    executed |= EventKind::BranchTaken.bit();
                     next_pc = target as usize;
                 }
                 if self.bp.predict_and_update(pc, taken) {
-                    bump(EventKind::BranchMispred, 1, &mut kind_mask);
+                    executed |= EventKind::BranchMispred.bit();
                     cost += self.spec.pipeline.mispredict_penalty as u64;
                 }
             }
             Inst::Jmp { target } => next_pc = target as usize,
             Inst::Call { target } => {
-                self.threads[self.current].stack.push(idx + 1);
+                self.threads[cur].stack.push(idx + 1);
                 next_pc = target as usize;
             }
-            Inst::Ret => match self.threads[self.current].stack.pop() {
+            Inst::Ret => match self.threads[cur].stack.pop() {
                 Some(ra) => next_pc = ra,
                 None => {
-                    self.threads[self.current].halted = true;
+                    // Returning from the entry function retires nothing.
+                    self.threads[cur].halted = true;
                     if self.all_halted() {
                         return Some(RunExit::Halted);
                     }
@@ -782,7 +870,7 @@ impl Machine {
             Inst::Nop => {}
             Inst::Send { chan } => {
                 *self.channels.entry(chan).or_insert(0) += 1;
-                bump(EventKind::MsgSend, 1, &mut kind_mask);
+                executed |= EventKind::MsgSend.bit();
                 self.wake_blocked(chan);
             }
             Inst::Recv { chan } => {
@@ -791,27 +879,39 @@ impl Machine {
                     .get_mut(&chan)
                     .expect("checked non-empty above");
                 *tokens -= 1;
-                bump(EventKind::MsgRecv, 1, &mut kind_mask);
+                executed |= EventKind::MsgRecv.bit();
             }
             Inst::Probe { .. } | Inst::Halt => unreachable!("handled above"),
         }
 
         // Out-of-order cores hide part of the memory stall.
         let visible_stall = mem_stall * (100 - self.spec.pipeline.overlap_pct as u64) / 100;
-        if visible_stall > 0 {
-            bump(EventKind::StallCycles, visible_stall, &mut kind_mask);
-        }
         cost += visible_stall;
-        bump(EventKind::Instructions, 1, &mut kind_mask);
-        bump(EventKind::Cycles, cost, &mut kind_mask);
 
         // --- commit ---
-        for &(k, n) in &events {
-            self.pmu.record(k, n, false);
-            self.record_truth(k, pc, n);
+        let mut kind_mask = fetched | executed | EventKind::Cycles.bit();
+        for k in kinds_in(fetched).chain(kinds_in(executed)) {
+            self.unflushed[k] += 1;
         }
-        self.threads[self.current].pc = next_pc;
-        self.threads[self.current].user_cycles += cost;
+        if visible_stall > 0 {
+            kind_mask |= EventKind::StallCycles.bit();
+            self.unflushed[EventKind::StallCycles as usize] += visible_stall;
+        }
+        self.unflushed[EventKind::Cycles as usize] += cost;
+        self.signals_pending = true;
+        if per_inst {
+            // `unflushed` holds this instruction's signals alone (plus any
+            // blocked time it woke, which `kind_mask` leaves out).
+            if let Some(truth) = &mut self.truth {
+                for k in kinds_in(kind_mask) {
+                    truth.add(k, pc, self.unflushed[k]);
+                }
+            }
+            self.flush_signals();
+        }
+        let th = &mut self.threads[cur];
+        th.pc = next_pc;
+        th.user_cycles += cost;
         self.cycles += cost;
         self.retired += 1;
 
@@ -861,8 +961,8 @@ impl Machine {
             if let Some(i) = deliver {
                 let p = self.pending.remove(i);
                 self.kernel_crossing(self.spec.costs.interrupt_cycles);
-                let report_pc =
-                    Program::pc_of(self.threads[self.current].pc.min(program.insts.len() - 1));
+                let th = &self.threads[cur];
+                let report_pc = Program::pc_of(th.pc.min(th.program.insts.len() - 1));
                 return Some(RunExit::Overflow {
                     counter: p.counter,
                     thread: tid,

@@ -142,6 +142,9 @@ pub fn render_formula(kinds: &[(EventKind, u32)]) -> String {
 // Interpretation: sections -> PlatformSpec
 // ---------------------------------------------------------------------------
 
+/// Largest TLB a platform file may declare (the model scans it linearly).
+const MAX_TLB_ENTRIES: i64 = 4096;
+
 fn cache_cfg(v: &View) -> PResult<CacheCfg> {
     v.check_keys(&["size", "line", "assoc"])?;
     let cfg = CacheCfg {
@@ -156,7 +159,32 @@ fn cache_cfg(v: &View) -> PResult<CacheCfg> {
             format!("{}: size, line and assoc must all be nonzero", v.what),
         ));
     }
-    Ok(cfg)
+    // The geometry the cache model can build: whole power-of-two sets of
+    // `assoc` ways, at most 255 ways and 2^20 lines.
+    let set_bytes = cfg.line as u64 * cfg.assoc as u64;
+    let sets = cfg.size as u64 / set_bytes;
+    let bad = if !cfg.line.is_power_of_two() {
+        Some("line must be a power of two")
+    } else if cfg.assoc > u8::MAX as u32 {
+        Some("assoc must be at most 255")
+    } else if !(cfg.size as u64).is_multiple_of(set_bytes) || !sets.is_power_of_two() {
+        Some("size must be line * assoc * a power-of-two number of sets")
+    } else if cfg.size / cfg.line > 1 << 20 {
+        Some("at most 2^20 lines")
+    } else {
+        None
+    };
+    match bad {
+        Some(why) => Err(TomlError::new(
+            v.line,
+            "bad-value",
+            format!(
+                "{}: {{ size = {}, line = {}, assoc = {} }}: {why}",
+                v.what, cfg.size, cfg.line, cfg.assoc
+            ),
+        )),
+        None => Ok(cfg),
+    }
 }
 
 /// Interpret an event's counter-placement keys into a bitmask.
@@ -368,8 +396,8 @@ pub fn parse_platform(src: &str) -> PResult<PlatformSpec> {
         l1d: cache_cfg(&m.table("l1d")?)?,
         l1i: cache_cfg(&m.table("l1i")?)?,
         l2: cache_cfg(&m.table("l2")?)?,
-        dtlb_entries: m.usize("dtlb_entries")?,
-        itlb_entries: m.usize("itlb_entries")?,
+        dtlb_entries: m.ranged("dtlb_entries", 1, MAX_TLB_ENTRIES)? as usize,
+        itlb_entries: m.ranged("itlb_entries", 1, MAX_TLB_ENTRIES)? as usize,
         l2_lat: m.u32("l2_lat")?,
         mem_lat: m.u32("mem_lat")?,
         tlb_walk: m.u32("tlb_walk")?,
@@ -812,6 +840,25 @@ mod tests {
                 "bad-value",
             ),
             (base.replace(" = ", " ").to_string(), "syntax"),
+            // Cache geometry and TLB sizes the machine could not build.
+            (base.replace("line = 64", "line = 48"), "bad-value"),
+            (base.replace("assoc = 4", "assoc = 300"), "bad-value"),
+            (
+                base.replace(
+                    "size = 16384, line = 64, assoc = 4",
+                    "size = 16384, line = 64, assoc = 256",
+                ),
+                "bad-value",
+            ),
+            (base.replace("size = 16384", "size = 24576"), "bad-value"),
+            (
+                base.replace("dtlb_entries = 64", "dtlb_entries = 0"),
+                "int-range",
+            ),
+            (
+                base.replace("itlb_entries = 32", "itlb_entries = 5000"),
+                "int-range",
+            ),
         ];
         for (src, want_check) in cases {
             let err = parse_platform(&src)

@@ -266,8 +266,8 @@ pub struct Pmu {
     mask: u64,
     /// Flat dispatch table: one `(kind, counter, mult, domain)` entry per
     /// signal of every programmed counter, rebuilt by [`Pmu::program`].
-    /// [`Pmu::record`] scans this contiguous list instead of the per-slot
-    /// `kinds` vectors.
+    /// [`Pmu::record`] and [`Pmu::record_user`] scan this contiguous list
+    /// instead of the per-slot `kinds` vectors.
     incr: Vec<(EventKind, u32, u32, Domain)>,
 }
 
@@ -408,50 +408,62 @@ impl Pmu {
         self.overflow.iter().any(|o| o.is_some())
     }
 
-    /// Record `n` occurrences of `kind` in the given privilege mode.
-    ///
-    /// Dispatches through the flat `Pmu::incr` table (rebuilt by
-    /// `program()`) instead of scanning every counter's heap-allocated
-    /// `kinds` list: `record` runs on every simulated instruction batch
-    /// *and* every costed kernel crossing, so the per-call constant is
-    /// what bounds the whole simulator's hot loop.
+    /// Record `n` occurrences of `kind` in the given privilege mode: the
+    /// path of kernel-mode charges and of tests. Simulated instructions
+    /// reach the PMU in batches through [`Pmu::record_user`].
     pub fn record(&mut self, kind: EventKind, n: u64, kernel_mode: bool) {
         if !self.running || n == 0 {
             return;
         }
-        let Pmu {
-            incr,
-            counts,
-            overflow,
-            pending_overflow,
-            mask,
-            ..
-        } = self;
-        for &(k, i, mult, d) in incr.iter() {
-            if k != kind || !d.matches(kernel_mode) {
-                continue;
+        for j in 0..self.incr.len() {
+            let (k, i, mult, d) = self.incr[j];
+            if k == kind && d.matches(kernel_mode) {
+                self.add(i as usize, n * mult as u64);
             }
-            let i = i as usize;
-            // Overflow crossings are detected on the unwrapped sum,
-            // then the register wraps to its width; any armed
-            // threshold is re-based by the same amount so crossings
-            // keep firing at the right counts across a wrap.
-            let s = counts[i] + n * mult as u64;
-            if let Some(o) = &mut overflow[i] {
-                if s >= o.next {
-                    *pending_overflow |= 1 << i;
-                    let past = s - o.next;
-                    o.next += o.threshold * (past / o.threshold + 1);
-                }
-            }
-            let wrapped = s & *mask;
-            if wrapped != s {
-                if let Some(o) = &mut overflow[i] {
-                    o.next = o.next.saturating_sub(s - wrapped);
-                }
-            }
-            counts[i] = wrapped;
         }
+    }
+
+    /// Record a batch of user-mode signals: `n[k]` occurrences of every
+    /// kind `k`, in one pass over the programmed `(kind, counter)` entries.
+    ///
+    /// A batch may span many instructions, and the result is the same as
+    /// recording them one by one, because counts are sums and register wrap
+    /// is modular. Overflow crossings are the exception: they must be seen
+    /// per instruction, so a machine with an armed threshold sends one batch
+    /// per instruction (see [`crate::machine`]).
+    pub fn record_user(&mut self, n: &[u64; NUM_EVENT_KINDS]) {
+        if !self.running {
+            return;
+        }
+        for j in 0..self.incr.len() {
+            let (k, i, mult, d) = self.incr[j];
+            let n = n[k as usize];
+            if n != 0 && d.user {
+                self.add(i as usize, n * mult as u64);
+            }
+        }
+    }
+
+    /// Add `delta` to counter `i`: the one place overflow crossings and
+    /// register wrap are computed.
+    fn add(&mut self, i: usize, delta: u64) {
+        // Overflow crossings are detected on the unwrapped sum, then the
+        // register wraps to its width; any armed threshold is re-based by
+        // the same amount so crossings keep firing at the right counts
+        // across a wrap.
+        let s = self.counts[i] + delta;
+        let wrapped = s & self.mask;
+        if let Some(o) = &mut self.overflow[i] {
+            if s >= o.next {
+                self.pending_overflow |= 1 << i;
+                let past = s - o.next;
+                o.next += o.threshold * (past / o.threshold + 1);
+            }
+            if wrapped != s {
+                o.next = o.next.saturating_sub(s - wrapped);
+            }
+        }
+        self.counts[i] = wrapped;
     }
 
     /// Take the pending-overflow bitmask, clearing it.
@@ -838,6 +850,44 @@ mod tests {
         p.record(EventKind::Cycles, 50, false); // unwrapped 350: fires
         assert_eq!(p.take_overflows(), 1);
         assert_eq!(p.read(0), 94);
+    }
+
+    #[test]
+    fn batched_user_signals_equal_one_by_one_recording() {
+        // A multi-signal event on a wrapping 8-bit register, a user-only and
+        // a kernel-only counter: one batch of many instructions' signals
+        // leaves the same registers as recording each signal on its own.
+        let fp = ev(vec![(EventKind::FpAdd, 1), (EventKind::FpFma, 2)]);
+        let cyc = ev(vec![(EventKind::Cycles, 1)]);
+        let setup = || {
+            let mut p = Pmu::with_width(3, 8);
+            p.program(0, Some((&fp, Domain::ALL)));
+            p.program(1, Some((&cyc, Domain::USER)));
+            p.program(2, Some((&cyc, Domain::KERNEL)));
+            p.start();
+            p
+        };
+        let (mut one, mut batch) = (setup(), setup());
+        let mut n = [0u64; NUM_EVENT_KINDS];
+        for i in 0..300u64 {
+            for (k, c) in [
+                (EventKind::FpAdd, i % 3),
+                (EventKind::FpFma, 1),
+                (EventKind::Cycles, i % 7 + 1),
+            ] {
+                one.record(k, c, false);
+                n[k as usize] += c;
+            }
+        }
+        batch.record_user(&n);
+        for c in 0..3 {
+            assert_eq!(batch.read(c), one.read(c), "counter {c}");
+        }
+        assert_eq!(
+            batch.read(2),
+            0,
+            "user signals leak into a kernel-only counter"
+        );
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! target, which is how the dynaprof reproduction patches running code.
 
 use crate::isa::{AddrGen, BranchPat, Inst};
+use papi_obs::json::{FromJson, JsonError, ToJson, Value};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -150,11 +151,75 @@ impl Program {
 // JSON in the derive shape (see `papi_obs::json`): the
 // `papirun --workload-file` format.
 papi_obs::json_struct!(Symbol { name, start, end });
-papi_obs::json_struct!(Program {
-    insts,
-    symbols,
-    entry
-});
+
+impl ToJson for Program {
+    fn to_json(&self) -> Value {
+        Value::object([
+            ("insts", self.insts.to_json()),
+            ("symbols", self.symbols.to_json()),
+            ("entry", self.entry.to_json()),
+        ])
+    }
+}
+
+impl FromJson for Program {
+    /// Decodes, then refuses a program the machine could not run: one
+    /// with no instructions, an entry or control-flow target past the
+    /// end, a last instruction that can fall through past the end, or an
+    /// address stream whose arithmetic overflows `u64`. The error names
+    /// the offending instruction index.
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        let p = Program {
+            insts: v.field("insts")?,
+            symbols: v.field("symbols")?,
+            entry: v.field("entry")?,
+        };
+        let len = p.insts.len();
+        let past_end = |what: String| {
+            JsonError::shape(format!(
+                "{what} is past the end of the {len}-instruction program"
+            ))
+        };
+        let Some(last) = p.insts.last() else {
+            return Err(JsonError::shape("program has no instructions"));
+        };
+        if p.entry >= len {
+            return Err(past_end(format!("entry {}", p.entry)));
+        }
+        for (i, inst) in p.insts.iter().enumerate() {
+            match *inst {
+                Inst::Br { target, .. } | Inst::Jmp { target } | Inst::Call { target }
+                    if target as usize >= len =>
+                {
+                    return Err(past_end(format!("insts[{i}]: target {target}")));
+                }
+                Inst::Load(gen) | Inst::Store(gen) if !gen.fits_u64() => {
+                    return Err(JsonError::shape(format!(
+                        "insts[{i}]: address arithmetic of {gen:?} overflows u64"
+                    )));
+                }
+                _ => {}
+            }
+        }
+        let ends = matches!(
+            last,
+            Inst::Jmp { .. }
+                | Inst::Ret
+                | Inst::Halt
+                | Inst::Br {
+                    pat: BranchPat::Always,
+                    ..
+                }
+        );
+        if !ends {
+            return Err(JsonError::shape(format!(
+                "insts[{}]: {last:?} can fall through past the end of the {len}-instruction program",
+                len - 1
+            )));
+        }
+        Ok(p)
+    }
+}
 
 /// Builds a [`Program`] out of named functions.
 ///

@@ -26,19 +26,26 @@ impl Tlb {
     }
 
     /// Translate `addr`; returns `true` on a TLB hit.
+    ///
+    /// The list is kept in recency order in place: a hit on the MRU entry
+    /// (the common case: the I-TLB sees every instruction, and consecutive
+    /// instructions share a page) moves nothing, any other hit rotates only
+    /// the entries in front of it, and a miss shifts the list once.
     pub fn access(&mut self, addr: u64) -> bool {
         self.accesses += 1;
         let page = addr / PAGE_SIZE;
         if let Some(pos) = self.pages.iter().position(|&p| p == page) {
-            let p = self.pages.remove(pos);
-            self.pages.insert(0, p);
+            if pos > 0 {
+                self.pages[..=pos].rotate_right(1);
+            }
             true
         } else {
             self.misses += 1;
-            if self.pages.len() == self.entries {
-                self.pages.pop();
+            if self.pages.len() < self.entries {
+                self.pages.push(page);
             }
-            self.pages.insert(0, page);
+            self.pages.rotate_right(1);
+            self.pages[0] = page;
             false
         }
     }

@@ -75,3 +75,53 @@ fn malformed_program_file_is_refused_with_a_position() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("2:10"), "no line:col in: {stderr}");
 }
+
+/// Programs that decode as JSON but that the machine could not run are
+/// refused at load, naming the offending instruction, instead of crashing
+/// the simulator mid-run.
+#[test]
+fn unrunnable_program_files_are_refused_naming_the_instruction() {
+    let cases = [
+        (
+            r#"{"insts": ["Halt"], "symbols": [], "entry": 7}"#,
+            "entry 7 is past the end",
+        ),
+        (
+            r#"{"insts": ["Int", {"Br": {"pat": "Always", "target": 99}}], "symbols": [], "entry": 0}"#,
+            "insts[1]: target 99 is past the end",
+        ),
+        (
+            r#"{"insts": ["Int", "FFma"], "symbols": [], "entry": 0}"#,
+            "insts[1]: FFma can fall through",
+        ),
+        (
+            r#"{"insts": [], "symbols": [], "entry": 0}"#,
+            "program has no instructions",
+        ),
+        (
+            r#"{"insts": [{"Load": {"Stride": {"base": 18446744073709551000, "stride": 8, "len": 1024}}}, "Halt"],
+                "symbols": [], "entry": 0}"#,
+            "insts[0]: address arithmetic",
+        ),
+    ];
+    for (i, (program, want)) in cases.into_iter().enumerate() {
+        let path = std::env::temp_dir().join(format!(
+            "papirun_unrunnable_{}_{i}.json",
+            std::process::id()
+        ));
+        std::fs::write(&path, program).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_papirun"))
+            .args(["--workload-file", path.to_str().unwrap(), "PAPI_TOT_INS"])
+            .output()
+            .expect("papirun runs");
+        let _ = std::fs::remove_file(&path);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "case {i}: {stderr}");
+        assert!(
+            stderr.contains("is not a valid program"),
+            "case {i}: {stderr}"
+        );
+        assert!(stderr.contains(want), "case {i}: want {want:?} in {stderr}");
+        assert!(!stderr.contains("panicked"), "case {i}: {stderr}");
+    }
+}

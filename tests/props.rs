@@ -13,7 +13,7 @@ use papi_suite::papi::{Papi, Preset, PresetTable, SimSubstrate};
 use papi_suite::workloads::{random_program, RandomCfg};
 use simcpu::platform::GroupDef;
 use simcpu::rng::SmallRng;
-use simcpu::{all_platforms, EventKind, Machine, NativeEventDesc};
+use simcpu::{all_platforms, EventKind, Machine, NativeEventDesc, RunExit};
 
 fn rand_masks(rng: &mut SmallRng, len_range: std::ops::Range<usize>, mask_max: u32) -> Vec<u32> {
     let len = rng.gen_range(len_range);
@@ -1031,12 +1031,28 @@ fn json_reader_survives_mutation_corpus() {
             .to_string(),
         r#"{"events": ["A\u00e9\ud83d\ude00"], "intervals": [{"t_start_us": 0, "t_end_us": 1e-3, "deltas": [0]}]}"#
             .to_string(),
+        // A dense program, so mutations often land on targets and bounds.
+        r#"{"insts": [{"Load": {"Stride": {"base": 4096, "stride": 64, "len": 8192}}},
+            {"Br": {"pat": {"Loop": {"count": 5}}, "target": 0}}, {"Call": {"target": 4}}, "Halt", "Ret"],
+            "symbols": [], "entry": 0}"#
+            .to_string(),
     ];
 
     let check = |doc: &str, label: &str| {
         let got = std::panic::catch_unwind(|| {
             let parsed = json::parse(doc);
-            let _ = json::from_str::<Program>(doc);
+            // A program that decodes must also run: give it a bounded
+            // number of cycles on the simulator.
+            if let Ok(program) = json::from_str::<Program>(doc) {
+                let mut m = Machine::new(simcpu::platform::sim_generic(), 1);
+                m.load(program);
+                const BUDGET: u64 = 20_000;
+                while m.cycles() < BUDGET {
+                    if let RunExit::Halted | RunExit::Deadlock = m.run(Some(BUDGET - m.cycles())) {
+                        break;
+                    }
+                }
+            }
             let _ = json::from_str::<Vec<TracePoint>>(doc);
             let _ = json::from_str::<Timeline>(doc);
             parsed
@@ -1128,6 +1144,13 @@ fn json_reader_survives_mutation_corpus() {
         "",
         "   ",
         "\u{feff}{}",
+        // Programs that decode but could not run: refused at decode.
+        r#"{"insts": ["Halt"], "symbols": [], "entry": 7}"#,
+        r#"{"insts": [{"Jmp": {"target": 99}}], "symbols": [], "entry": 0}"#,
+        r#"{"insts": ["Int"], "symbols": [], "entry": 0}"#,
+        r#"{"insts": [], "symbols": [], "entry": 0}"#,
+        r#"{"insts": [{"Store": {"Chase": {"base": 18446744073709551000, "len": 4096}}}, "Ret"],
+            "symbols": [], "entry": 0}"#,
     ] {
         check(doc, doc);
     }
@@ -1152,7 +1175,9 @@ fn toml_readers_survive_mutation_corpus() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let read = |path: &str| std::fs::read_to_string(root.join(path)).unwrap();
     type Reader = fn(&str) -> Result<(), TomlError>;
-    let platform: Reader = |src| simcpu::parse_platform(src).map(drop);
+    // A platform spec that parses must also build a machine.
+    let platform: Reader =
+        |src| simcpu::parse_platform(src).map(|spec| drop(Machine::new(spec, 1)));
     let matrix: Reader = |src| MatrixConfig::parse(src).map(drop);
 
     let check = |label: &str, src: &str, parse: Reader| {
