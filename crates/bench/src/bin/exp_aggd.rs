@@ -8,7 +8,7 @@
 //! of the unique frames the generators pushed, and every dropped frame must
 //! be visible in the daemon's own `aggd.*` accounting.  This harness drives
 //! that end to end over real sockets, then measures the in-process ingest
-//! hot path (decode + anti-replay + ring apply) for the perf trajectory.
+//! hot path (decode + anti-replay + ring apply).
 //!
 //! ```text
 //! exp_aggd [--iters N] [--sessions N] [--threads N]
@@ -24,7 +24,6 @@ use papi_aggd::{
     WorkloadCfg,
 };
 use papi_bench::banner;
-use papi_bench::bench_json::{merge_into, BenchRecord};
 use papi_obs::alloc_track::count_in;
 use std::time::Instant;
 
@@ -162,29 +161,5 @@ fn main() {
         wire_fps, sent, synth.threads
     );
 
-    if !smoke {
-        let records = vec![
-            BenchRecord {
-                bench: "aggd_ingest_frame".into(),
-                substrate: "in-proc".into(),
-                iters: if smoke { 2_000 } else { 200_000 },
-                ns_per_op,
-                allocs_per_op,
-            },
-            BenchRecord {
-                bench: "aggd_ingest_wire".into(),
-                substrate: "socket/8thr".into(),
-                iters: sent,
-                ns_per_op: 1e9 / wire_fps.max(1e-9),
-                // Not measured on the wire path (the daemon's connection
-                // threads own the allocator there); the in-proc record
-                // carries the alloc assertion.
-                allocs_per_op: 0.0,
-            },
-        ];
-        let path = papi_bench::bench_json::default_path();
-        merge_into(&path, &records).expect("write BENCH_hotpath.json");
-        println!("\nrecorded to {}", path.display());
-    }
     println!("\nE-aggd: PASS");
 }

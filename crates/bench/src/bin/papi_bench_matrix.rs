@@ -11,11 +11,12 @@
 //!     [--json]                                 print the JSON document
 //! ```
 //!
-//! Exit codes: 0 clean · 1 regression or failed invariant · 2 usage or
-//! config error.  Regressions are compared on **virtual cycles per op**
-//! (deterministic for a given config + seed), so the CI gate does not
-//! flake with host load; each line names the cell and the baseline line
-//! number, `papi_validate` style.
+//! Exit codes: 0 clean · 1 regression or failed invariant · 2 usage,
+//! config or baseline error (a baseline that is not a report golden is
+//! refused with its line before any cell runs).  Regressions are compared
+//! on **virtual cycles per op** (deterministic for a given config + seed),
+//! so the CI gate does not flake with host load; each line names the cell
+//! and the baseline line number, `papi_validate` style.
 //!
 //! Two invariants from the retired bespoke harnesses are asserted on
 //! every run, including `--smoke`:
@@ -27,8 +28,8 @@
 //!   virtual throughput must scale >= 3x.
 
 use papi_bench::matrix::{
-    diff_against_baseline, render_matrix_json, render_report, run_matrix, score_matrix, CellResult,
-    MatrixConfig, RunOptions,
+    diff_against_baseline, read_baseline, render_matrix_json, render_report, run_matrix,
+    score_matrix, CellResult, MatrixConfig, RunOptions,
 };
 use papi_obs::{Counter, Obs};
 use std::path::{Path, PathBuf};
@@ -116,13 +117,19 @@ fn main() {
         write_out = false;
     }
 
-    // Read the baseline *before* any report writing can clobber it.
+    // Read the baseline *before* any report writing can clobber it, and
+    // refuse a bad one before any cell runs.
     let baseline = baseline_path.map(|p| {
-        let text = std::fs::read_to_string(&p).unwrap_or_else(|e| {
-            eprintln!("papi_bench_matrix: {}: {e}", p.display());
-            exit(2);
-        });
-        (p, text)
+        let rows = std::fs::read_to_string(&p)
+            .map_err(|e| e.to_string())
+            .and_then(|text| read_baseline(&text).map_err(|e| e.to_string()));
+        match rows {
+            Ok(rows) => (p, rows),
+            Err(e) => {
+                eprintln!("papi_bench_matrix: {}: {e}", p.display());
+                exit(2);
+            }
+        }
     });
 
     papi_bench::banner(
@@ -171,13 +178,13 @@ fn main() {
         println!("wrote {} and {}", out_path.display(), txt_path.display());
     }
 
-    if let Some((path, text)) = baseline {
-        let diff = diff_against_baseline(&results, &text);
-        for r in &diff.regressions {
+    if let Some((path, rows)) = baseline {
+        let diff = diff_against_baseline(&results, &rows);
+        for r in &diff.worse {
             eprintln!("MATRIX REGRESSION: {r}");
         }
-        for i in &diff.improvements {
-            println!("improved: {i}");
+        for i in &diff.better {
+            println!("improved: {}: {}", i.cell, i.detail);
         }
         for a in &diff.added {
             println!("new cell (not in baseline): {a}");
@@ -192,7 +199,7 @@ fn main() {
             eprintln!(
                 "baseline {} : {} regression(s)",
                 path.display(),
-                diff.regressions.len()
+                diff.worse.len()
             );
             failed = true;
         }

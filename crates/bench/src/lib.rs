@@ -41,27 +41,6 @@ pub fn baseline_cycles(spec: PlatformSpec, program: Program, seed: u64) -> u64 {
     m.cycles()
 }
 
-/// The `--iters N` / `--substrate NAME` argument convention shared by
-/// every experiment binary (the one piece of plumbing they still own;
-/// everything else goes through `matrix::run_matrix`).  Exits with usage
-/// on anything unrecognized.
-pub fn exp_args(usage: &str, default_iters: u64, default_substrate: &str) -> (u64, String) {
-    let mut iters = default_iters;
-    let mut substrate = default_substrate.to_string();
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--iters" => iters = it.next().and_then(|s| s.parse().ok()).expect("--iters N"),
-            "--substrate" => substrate = it.next().expect("--substrate NAME"),
-            _ => {
-                eprintln!("usage: {usage}");
-                std::process::exit(2);
-            }
-        }
-    }
-    (iters, substrate)
-}
-
 /// Print an experiment banner.
 pub fn banner(id: &str, claim: &str) {
     println!("==============================================================");
@@ -72,222 +51,4 @@ pub fn banner(id: &str, claim: &str) {
 /// Format a ratio as a percentage string.
 pub fn pct(x: f64) -> String {
     format!("{:.2}%", x * 100.0)
-}
-
-/// Best-effort CPU time consumed by the calling thread so far, in
-/// nanoseconds (Linux: the on-CPU field of `/proc/thread-self/schedstat`).
-/// Returns `None` where the interface is unavailable; callers fall back to
-/// wall-clock.
-///
-/// Why this exists: contention benchmarks must distinguish "the read path
-/// serialized on a shared lock" from "the host has fewer cores than worker
-/// threads". Wall-clock per-op time inflates with time-slicing on a
-/// single-core CI box even for perfectly independent threads; per-thread
-/// CPU time does not — it charges each thread only for cycles it actually
-/// burned, which is exactly the lock-free claim under test.
-///
-/// The scheduler updates the on-CPU account lazily (on ticks and context
-/// switches), so a yield is issued first to force the calling thread
-/// through the scheduler and make the reading current.
-pub fn thread_cpu_ns() -> Option<u64> {
-    std::thread::yield_now();
-    std::fs::read_to_string("/proc/thread-self/schedstat")
-        .ok()?
-        .split_whitespace()
-        .next()?
-        .parse()
-        .ok()
-}
-
-/// The machine-readable perf trajectory: experiment binaries append their
-/// measurements to `BENCH_hotpath.json` at the repo root, merging by
-/// `(bench, substrate)` so re-runs update records in place and the committed
-/// file tracks ns/op and allocs/op across PRs.
-///
-/// One record per line, written and read through [`papi_obs::json`] in
-/// [`bench_json::LAYOUT`].
-pub mod bench_json {
-    use papi_obs::json::{self, FromJson, JsonError, Layout, ToJson, Value};
-    use std::fs;
-    use std::io;
-    use std::path::{Path, PathBuf};
-
-    /// Line layout of `BENCH_hotpath.json`: `[`, one two-space-indented
-    /// record per line, `]`.
-    pub const LAYOUT: Layout = Layout {
-        row_depth: 0,
-        row_indent: "  ",
-        spaced_outer: true,
-        spaced_rows: true,
-    };
-
-    /// One benchmark measurement.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct BenchRecord {
-        /// Benchmark name, e.g. `read_into_4ev`.
-        pub bench: String,
-        /// Substrate plus dispatch flavor, e.g. `sim:x86/static`.
-        pub substrate: String,
-        /// Iterations timed.
-        pub iters: u64,
-        /// Mean wall nanoseconds per operation.
-        pub ns_per_op: f64,
-        /// Mean heap allocations per operation (counting allocator).
-        pub allocs_per_op: f64,
-    }
-
-    impl ToJson for BenchRecord {
-        /// Fixed field order and precision, so `parse ∘ render = id` on
-        /// committed records.
-        fn to_json(&self) -> Value {
-            Value::object([
-                ("bench", self.bench.to_json()),
-                ("substrate", self.substrate.to_json()),
-                ("iters", self.iters.to_json()),
-                ("ns_per_op", Value::fixed(self.ns_per_op, 1)),
-                ("allocs_per_op", Value::fixed(self.allocs_per_op, 2)),
-            ])
-        }
-    }
-
-    impl FromJson for BenchRecord {
-        fn from_json(v: &Value) -> Result<Self, JsonError> {
-            Ok(BenchRecord {
-                bench: v.field("bench")?,
-                substrate: v.field("substrate")?,
-                iters: v.field("iters")?,
-                ns_per_op: v.field("ns_per_op")?,
-                allocs_per_op: v.field("allocs_per_op")?,
-            })
-        }
-    }
-
-    /// Parse a whole trajectory document.
-    pub fn parse(text: &str) -> Result<Vec<BenchRecord>, JsonError> {
-        json::from_str(text)
-    }
-
-    /// Render records as the trajectory-file array.
-    pub fn render(records: &[BenchRecord]) -> String {
-        records.to_json().render(&LAYOUT)
-    }
-
-    /// Default trajectory file at the repo root.
-    pub fn default_path() -> PathBuf {
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_hotpath.json")
-    }
-
-    fn key_of(row: &Value) -> (Option<&str>, Option<&str>) {
-        (
-            row.get("bench").and_then(Value::as_str),
-            row.get("substrate").and_then(Value::as_str),
-        )
-    }
-
-    /// Merge `records` into the JSON array at `path`: existing records with
-    /// the same `(bench, substrate)` are replaced, everything else is kept
-    /// byte for byte, new records are appended — then the whole array is
-    /// written back **sorted by `(bench, substrate)`**, so the committed
-    /// file is key-stable and re-runs produce reviewable diffs regardless
-    /// of which experiment wrote last.
-    pub fn merge_into(path: &Path, records: &[BenchRecord]) -> io::Result<()> {
-        let mut rows = match fs::read_to_string(path) {
-            Ok(text) => match json::parse(&text) {
-                Ok(Value::Arr(rows)) => rows,
-                _ => {
-                    let msg = format!("{}: not a JSON array of records", path.display());
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
-                }
-            },
-            Err(_) => Vec::new(),
-        };
-        for r in records {
-            rows.retain(|row| key_of(row) != (Some(&r.bench), Some(&r.substrate)));
-            rows.push(r.to_json());
-        }
-        rows.sort_by(|a, b| key_of(a).cmp(&key_of(b)));
-        fs::write(path, Value::Arr(rows).render(&LAYOUT))
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        fn rec(bench: &str, sub: &str, ns: f64) -> BenchRecord {
-            BenchRecord {
-                bench: bench.into(),
-                substrate: sub.into(),
-                iters: 100,
-                ns_per_op: ns,
-                allocs_per_op: 0.0,
-            }
-        }
-
-        #[test]
-        fn merge_replaces_by_key_and_keeps_others() {
-            let dir = std::env::temp_dir().join("papi_bench_json_test");
-            fs::create_dir_all(&dir).unwrap();
-            let path = dir.join("merge.json");
-            let _ = fs::remove_file(&path);
-
-            merge_into(&path, &[rec("read", "a", 10.0), rec("read", "b", 20.0)]).unwrap();
-            merge_into(&path, &[rec("read", "a", 11.0), rec("accum", "a", 30.0)]).unwrap();
-
-            let body = fs::read_to_string(&path).unwrap();
-            assert!(body.starts_with("[\n") && body.ends_with("]\n"));
-            assert_eq!(body.matches("\"bench\": \"read\"").count(), 2);
-            assert!(body.contains("\"ns_per_op\": 11.0"));
-            assert!(!body.contains("\"ns_per_op\": 10.0"));
-            assert!(body.contains("\"ns_per_op\": 20.0"));
-            assert!(body.contains("\"bench\": \"accum\""));
-            let _ = fs::remove_file(&path);
-        }
-
-        #[test]
-        fn merge_is_key_stable_and_sorted() {
-            let dir = std::env::temp_dir().join("papi_bench_json_sort_test");
-            fs::create_dir_all(&dir).unwrap();
-            let path = dir.join("sorted.json");
-            let _ = fs::remove_file(&path);
-
-            // Written in scrambled order, twice, with an update in between.
-            merge_into(&path, &[rec("zz", "b", 1.0), rec("aa", "x", 2.0)]).unwrap();
-            merge_into(&path, &[rec("mm", "a", 3.0), rec("aa", "x", 4.0)]).unwrap();
-
-            let parsed = parse(&fs::read_to_string(&path).unwrap()).unwrap();
-            let keys: Vec<(String, String)> = parsed
-                .iter()
-                .map(|r| (r.bench.clone(), r.substrate.clone()))
-                .collect();
-            let mut sorted = keys.clone();
-            sorted.sort();
-            assert_eq!(keys, sorted, "records must be sorted by (bench, substrate)");
-            assert_eq!(parsed.len(), 3);
-            assert_eq!(
-                parsed.iter().find(|r| r.bench == "aa").unwrap().ns_per_op,
-                4.0
-            );
-            let _ = fs::remove_file(&path);
-        }
-
-        #[test]
-        fn parse_render_round_trip() {
-            // parse ∘ render = id on records, and render ∘ parse = id on
-            // documents whose values are already at rendered precision.
-            let records = vec![
-                rec("accum_4ev", "sim:x86/static", 43.7),
-                rec("read_1ev", "sim:x86/boxed", 101.5),
-                BenchRecord {
-                    bench: "contention_read_into_4t".into(),
-                    substrate: "sim:x86".into(),
-                    iters: 200_000,
-                    ns_per_op: 55.4,
-                    allocs_per_op: 0.25,
-                },
-            ];
-            let doc = render(&records);
-            assert_eq!(parse(&doc).unwrap(), records);
-            assert_eq!(render(&parse(&doc).unwrap()), doc);
-        }
-    }
 }

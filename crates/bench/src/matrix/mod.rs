@@ -21,8 +21,5 @@ pub mod runner;
 
 pub use config::{compose_fault, dispatch_of, CellSpec, Dispatch, MatrixConfig, Op, CELL_EVENTS};
 pub use pp::{harmonic_pp, score_matrix, BenchScore, SubstrateEff};
-pub use report::{
-    diff_against_baseline, diff_against_parsed, parse_matrix_json, render_matrix_json,
-    render_report, MatrixDiff, MatrixRegression, ParsedMatrixCell,
-};
+pub use report::{diff_against_baseline, read_baseline, render_matrix_json, render_report};
 pub use runner::{run_cell, run_matrix, CellResult, RunOptions};

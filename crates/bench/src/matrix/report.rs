@@ -1,11 +1,10 @@
 //! Scored-matrix reports: line-per-cell JSON, line-addressed baseline
 //! diffing, and the text render — the same document discipline as
-//! `papi_validate`'s accuracy matrix (one cell per line is what makes a
-//! baseline regression *nameable by line number* in CI output).
+//! `papi_validate`'s accuracy matrix, through the same baseline engine in
+//! [`papi_obs::json`] (one cell per line is what makes a baseline
+//! regression *nameable by line number* in CI output).
 
-use std::fmt;
-
-use papi_obs::json::{self, Layout, ToJson, Value};
+use papi_obs::json::{self, BaselineError, BaselineRow, Diff, Layout, ToJson, Value, Verdict};
 
 use super::pp::BenchScore;
 use super::runner::CellResult;
@@ -15,12 +14,7 @@ pub const REPORT_SCHEMA: u32 = 1;
 
 /// Line layout of the report golden: `{"schema": 1, "matrix": [`, one
 /// cell per line, `], "scores": [`, one score per line, `]}`.
-pub const REPORT_LAYOUT: Layout = Layout {
-    row_depth: 1,
-    row_indent: "",
-    spaced_outer: true,
-    spaced_rows: false,
-};
+pub const REPORT_LAYOUT: Layout = Layout { spaced_outer: true };
 
 /// Serialize cells + scores as line-per-cell JSON.  Line 1 is the
 /// header, so the first cell sits on line 2 — the line numbers baseline
@@ -78,176 +72,60 @@ pub fn render_matrix_json(cells: &[CellResult], scores: &[BenchScore]) -> String
     .render(&REPORT_LAYOUT)
 }
 
-/// One cell parsed back out of a report document, with its line number.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParsedMatrixCell {
-    /// 1-based line in the document.
-    pub line: usize,
-    pub bench: String,
-    pub substrate: String,
-    pub threads: usize,
-    pub events: usize,
-    pub mpx: bool,
-    pub supported: bool,
-    pub vcyc_per_op: f64,
-}
-
-impl ParsedMatrixCell {
-    /// The same coordinate [`super::config::CellSpec::coord`] produces.
-    pub fn coord(&self) -> String {
-        format!(
+/// Read a report golden as a baseline: one row per cell, keyed by its
+/// coordinate (`bench/substrate/Nt/Mev/{dir|mpx}`, as
+/// [`super::config::CellSpec::coord`] writes it) and carrying its support
+/// and vcyc/op.
+pub fn read_baseline(text: &str) -> Result<Vec<BaselineRow>, BaselineError> {
+    json::read_baseline(text, |row| {
+        let text = |k| row.get(k).and_then(Value::as_str);
+        let int = |k| row.get(k).and_then(Value::as_u64);
+        row.get("supported")?.as_bool()?;
+        row.get("vcyc_per_op")?.as_f64()?;
+        Some(format!(
             "{}/{}/{}t/{}ev/{}",
-            self.bench,
-            self.substrate,
-            self.threads,
-            self.events,
-            if self.mpx { "mpx" } else { "dir" }
-        )
-    }
+            text("bench")?,
+            text("substrate")?,
+            int("threads")?,
+            int("events")?,
+            text("mpx")?
+        ))
+    })
 }
 
-/// Parse a report document (as produced by [`render_matrix_json`]) back
-/// into its cells with line numbers.  Tolerates unknown fields; lines
-/// that are not cell objects (header, scores, footer) are skipped.
-pub fn parse_matrix_json(text: &str) -> Vec<ParsedMatrixCell> {
-    let mut cells = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let Some(row) = json::parse_row(line) else {
-            continue;
-        };
-        let str_of = |k: &str| row.get(k).and_then(Value::as_str);
-        let usize_of = |k: &str| row.get(k).and_then(Value::as_u64).map(|v| v as usize);
-        let (Some(bench), Some(substrate), Some(mpx)) =
-            (str_of("bench"), str_of("substrate"), str_of("mpx"))
-        else {
-            continue;
-        };
-        let (Some(threads), Some(events), Some(supported), Some(vcyc_per_op)) = (
-            usize_of("threads"),
-            usize_of("events"),
-            row.get("supported").and_then(Value::as_bool),
-            row.get("vcyc_per_op").and_then(Value::as_f64),
-        ) else {
-            continue;
-        };
-        cells.push(ParsedMatrixCell {
-            line: i + 1,
-            bench: bench.to_string(),
-            substrate: substrate.to_string(),
-            threads,
-            events,
-            mpx: mpx == "mpx",
-            supported,
-            vcyc_per_op,
-        });
-    }
-    cells
-}
-
-/// One cell that got worse than the baseline allows.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MatrixRegression {
-    /// Cell coordinate (`bench/substrate/Nt/Mev/{dir|mpx}`).
-    pub cell: String,
-    /// Line of the cell in the baseline document.
-    pub baseline_line: usize,
-    /// What happened (`vcyc/op 43.7 -> 95.0 (2.17x > limit 1.50x)`,
-    /// `supported -> unsupported`, `missing from current run`).
-    pub detail: String,
-}
-
-impl fmt::Display for MatrixRegression {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: {} (baseline line {})",
-            self.cell, self.detail, self.baseline_line
-        )
-    }
-}
-
-/// Outcome of diffing a fresh run against a baseline document.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MatrixDiff {
-    /// Cells worse than the per-cell gate allows — CI failures.
-    pub regressions: Vec<MatrixRegression>,
-    /// Cells faster than the gate's reciprocal (stale baseline hints).
-    pub improvements: Vec<String>,
-    /// Cells present now but absent from the baseline.
-    pub added: Vec<String>,
-}
-
-impl MatrixDiff {
-    /// True when nothing regressed.
-    pub fn clean(&self) -> bool {
-        self.regressions.is_empty()
-    }
-}
-
-/// Diff `current` against a baseline report document.  A cell regresses
-/// when `current_vcyc / baseline_vcyc` exceeds its spec's `gate_ratio`,
-/// when it turned unsupported, or when it vanished; virtual cycles make
-/// the comparison deterministic, so the gate is not flaky.
-pub fn diff_against_baseline(current: &[CellResult], baseline: &str) -> MatrixDiff {
-    diff_against_parsed(current, &parse_matrix_json(baseline))
-}
-
-/// [`diff_against_baseline`] over already-parsed baseline cells.
-pub fn diff_against_parsed(current: &[CellResult], baseline: &[ParsedMatrixCell]) -> MatrixDiff {
-    let mut diff = MatrixDiff::default();
-    for b in baseline {
-        let coord = b.coord();
-        let Some(c) = current.iter().find(|c| c.spec.coord() == coord) else {
-            diff.regressions.push(MatrixRegression {
-                cell: coord,
-                baseline_line: b.line,
-                detail: "missing from current run".to_string(),
-            });
-            continue;
-        };
-        if b.supported && !c.supported {
-            diff.regressions.push(MatrixRegression {
-                cell: coord,
-                baseline_line: b.line,
-                detail: "supported -> unsupported".to_string(),
-            });
-            continue;
-        }
-        if !b.supported {
-            if c.supported {
-                diff.improvements
-                    .push(format!("{coord}: unsupported -> supported"));
+/// Diff `current` against baseline rows.  A cell regresses when
+/// `current_vcyc / baseline_vcyc` exceeds its spec's `gate_ratio`, when it
+/// turned unsupported, or when it vanished; virtual cycles make the
+/// comparison deterministic, so the gate is not flaky.  A cell that turned
+/// supported or runs faster than the gate's reciprocal is better: a stale
+/// baseline, never a failure.
+pub fn diff_against_baseline(current: &[CellResult], baseline: &[BaselineRow]) -> Diff {
+    json::diff_baseline(
+        baseline,
+        current,
+        |c| c.spec.coord(),
+        |_| "missing from current run".to_string(),
+        |row, c| {
+            let supported = row.get("supported").and_then(Value::as_bool) == Some(true);
+            let was = row
+                .get("vcyc_per_op")
+                .and_then(Value::as_f64)
+                .unwrap_or(0.0);
+            let (ratio, limit) = (c.vcyc_per_op / was, c.spec.gate_ratio);
+            let change = || format!("vcyc/op {was:.4} -> {:.4} ({ratio:.2}x", c.vcyc_per_op);
+            match (supported, c.supported) {
+                (true, false) => Verdict::Worse("supported -> unsupported".into()),
+                (false, true) => Verdict::Better("unsupported -> supported".into()),
+                (true, true) if was > 0.0 && ratio > limit => {
+                    Verdict::Worse(format!("{} > limit {limit:.2}x)", change()))
+                }
+                (true, true) if was > 0.0 && ratio < 1.0 / limit => {
+                    Verdict::Better(format!("{}) — refresh the baseline", change()))
+                }
+                _ => Verdict::Same,
             }
-            continue;
-        }
-        if b.vcyc_per_op <= 0.0 {
-            continue;
-        }
-        let ratio = c.vcyc_per_op / b.vcyc_per_op;
-        let limit = c.spec.gate_ratio;
-        if ratio > limit {
-            diff.regressions.push(MatrixRegression {
-                cell: coord,
-                baseline_line: b.line,
-                detail: format!(
-                    "vcyc/op {:.4} -> {:.4} ({ratio:.2}x > limit {limit:.2}x)",
-                    b.vcyc_per_op, c.vcyc_per_op
-                ),
-            });
-        } else if ratio < 1.0 / limit {
-            diff.improvements.push(format!(
-                "{coord}: vcyc/op {:.4} -> {:.4} ({ratio:.2}x) — refresh the baseline",
-                b.vcyc_per_op, c.vcyc_per_op
-            ));
-        }
-    }
-    for c in current {
-        let coord = c.spec.coord();
-        if !baseline.iter().any(|b| b.coord() == coord) {
-            diff.added.push(coord);
-        }
-    }
-    diff
+        },
+    )
 }
 
 /// Human-readable matrix render: one line per cell plus the PP table —

@@ -28,12 +28,11 @@ use std::time::Instant;
 
 use papi_core::{Papi, Substrate, SubstrateRegistry, ThreadedPapi};
 use papi_obs::alloc_track::count_in;
-use papi_obs::{Counter, Obs, ObsHandle};
+use papi_obs::{thread_cpu_ns, Counter, Obs, ObsHandle};
 use papi_workloads::dense_fp;
 use simcpu::platform::sim_x86;
 
 use super::config::{dispatch_of, CellSpec, Dispatch, Op, CELL_EVENTS};
-use crate::thread_cpu_ns;
 
 /// Run-wide knobs that are not part of any cell's identity.
 #[derive(Clone)]

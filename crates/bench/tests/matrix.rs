@@ -7,11 +7,11 @@
 //! (determinism, line addressing, spread) are exact, so
 //! they hold at 64 iters as firmly as at a million.
 
-use papi_bench::bench_json;
 use papi_bench::matrix::{
-    diff_against_parsed, parse_matrix_json, render_matrix_json, run_cell, run_matrix, score_matrix,
+    diff_against_baseline, read_baseline, render_matrix_json, run_cell, run_matrix, score_matrix,
     CellResult, CellSpec, MatrixConfig, Op, RunOptions,
 };
+use papi_obs::json::{BaselineRow, ToJson, Value};
 use papi_obs::{Counter, Obs};
 
 /// A small but representative config: two benches, two substrates, a
@@ -107,6 +107,21 @@ fn seeded_runs_are_deterministic() {
     }
 }
 
+/// Doctor field `key` of a baseline row in place.
+fn set(row: &mut BaselineRow, key: &str, v: Value) {
+    let Value::Obj(members) = &mut row.value else {
+        panic!("row is not an object")
+    };
+    members.iter_mut().find(|(k, _)| k == key).expect(key).1 = v;
+}
+
+fn vcyc_of(row: &BaselineRow) -> f64 {
+    row.value
+        .get("vcyc_per_op")
+        .and_then(Value::as_f64)
+        .unwrap()
+}
+
 /// Planted regression: doctor one baseline cell to half its virtual cost
 /// and the diff must fail naming exactly that cell *and* the line it
 /// occupies in the baseline document.
@@ -114,7 +129,7 @@ fn seeded_runs_are_deterministic() {
 fn planted_regression_names_cell_and_baseline_line() {
     let results = small_results();
     let doc = render_matrix_json(&results, &score_matrix(&results));
-    let mut baseline = parse_matrix_json(&doc);
+    let mut baseline = read_baseline(&doc).expect("the report reads back as a baseline");
     assert_eq!(
         baseline.len(),
         results.len(),
@@ -126,25 +141,26 @@ fn planted_regression_names_cell_and_baseline_line() {
     }
 
     // Self-diff is clean: nothing regressed against our own report.
-    let self_diff = diff_against_parsed(&results, &baseline);
+    let self_diff = diff_against_baseline(&results, &baseline);
     assert!(
         self_diff.clean(),
         "self-diff regressed: {:?}",
-        self_diff.regressions
+        self_diff.worse
     );
     assert!(self_diff.added.is_empty());
 
     // Plant: pretend the 5th cell used to be twice as fast.
     let victim = 4.min(baseline.len() - 1);
-    baseline[victim].vcyc_per_op /= 2.0;
-    let coord = baseline[victim].coord();
+    let halved = vcyc_of(&baseline[victim]) / 2.0;
+    set(&mut baseline[victim], "vcyc_per_op", halved.to_json());
+    let coord = baseline[victim].cell.clone();
     let line = baseline[victim].line;
 
-    let diff = diff_against_parsed(&results, &baseline);
-    assert_eq!(diff.regressions.len(), 1, "exactly the planted cell fails");
-    let r = &diff.regressions[0];
+    let diff = diff_against_baseline(&results, &baseline);
+    assert_eq!(diff.worse.len(), 1, "exactly the planted cell fails");
+    let r = &diff.worse[0];
     assert_eq!(r.cell, coord);
-    assert_eq!(r.baseline_line, line);
+    assert_eq!(r.line, line);
     assert!(
         r.detail.contains("2.00x"),
         "detail carries the ratio: {}",
@@ -165,17 +181,17 @@ fn planted_regression_names_cell_and_baseline_line() {
 fn missing_and_added_cells_are_classified() {
     let results = small_results();
     let doc = render_matrix_json(&results, &score_matrix(&results));
-    let baseline = parse_matrix_json(&doc);
+    let baseline = read_baseline(&doc).unwrap();
 
     let truncated: Vec<CellResult> = results[1..].to_vec();
-    let diff = diff_against_parsed(&truncated, &baseline);
-    assert_eq!(diff.regressions.len(), 1);
-    assert_eq!(diff.regressions[0].cell, results[0].spec.coord());
-    assert_eq!(diff.regressions[0].baseline_line, 2);
-    assert!(diff.regressions[0].detail.contains("missing"));
+    let diff = diff_against_baseline(&truncated, &baseline);
+    assert_eq!(diff.worse.len(), 1);
+    assert_eq!(diff.worse[0].cell, results[0].spec.coord());
+    assert_eq!(diff.worse[0].line, 2);
+    assert!(diff.worse[0].detail.contains("missing"));
 
     let shrunk_baseline = &baseline[1..];
-    let diff = diff_against_parsed(&results, shrunk_baseline);
+    let diff = diff_against_baseline(&results, shrunk_baseline);
     assert!(diff.clean());
     assert_eq!(diff.added, vec![results[0].spec.coord()]);
 }
@@ -193,15 +209,59 @@ fn support_transitions_are_gated_asymmetrically() {
         vcyc_per_op: 0.0,
         ..dead[0].clone()
     };
-    let diff = diff_against_parsed(&dead, &parse_matrix_json(&doc));
-    assert_eq!(diff.regressions.len(), 1);
-    assert!(diff.regressions[0].detail.contains("unsupported"));
+    let diff = diff_against_baseline(&dead, &read_baseline(&doc).unwrap());
+    assert_eq!(diff.worse.len(), 1);
+    assert!(diff.worse[0].detail.contains("unsupported"));
 
-    let mut baseline = parse_matrix_json(&doc);
-    baseline[0].supported = false;
-    let diff = diff_against_parsed(&results, &baseline);
+    let mut baseline = read_baseline(&doc).unwrap();
+    set(&mut baseline[0], "supported", Value::Bool(false));
+    let diff = diff_against_baseline(&results, &baseline);
     assert!(diff.clean());
-    assert!(diff.improvements.iter().any(|i| i.contains("supported")));
+    assert!(diff.better.iter().any(|i| i.detail.contains("supported")));
+}
+
+/// The `papi_bench_matrix --baseline` gate on doctored copies of the
+/// committed golden: a file that is not a golden and a row that lost its
+/// closing brace are refused, naming their line; a row doctored to a
+/// cheaper vcyc/op is a regression at its own line.
+#[test]
+fn gate_refuses_damaged_baselines_and_names_doctored_lines() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let read = |rel: &str| std::fs::read_to_string(root.join(rel)).unwrap();
+    let refusal = |text: &str| read_baseline(text).unwrap_err().to_string();
+    assert!(
+        refusal(&read("README.md")).starts_with("line 1: not a JSON document (1:1: "),
+        "{}",
+        refusal(&read("README.md"))
+    );
+
+    let golden = read("results/bench_matrix.json");
+    let line = golden.lines().nth(5).unwrap();
+    let cheap = line.replace("\"vcyc_per_op\":800.0000", "\"vcyc_per_op\":100.0000");
+    assert_ne!(cheap, line);
+    let unclosed = format!("{},", cheap.strip_suffix("},").unwrap());
+    assert_eq!(
+        refusal(&golden.replacen(line, &unclosed, 1)),
+        "line 6: not exactly one cell object"
+    );
+
+    // Run the doctored cell alone and defend only its row.
+    let coord = "read_into/sim:x86/4t/1ev/dir";
+    let mut rows = read_baseline(&golden.replacen(line, &cheap, 1)).unwrap();
+    rows.retain(|r| r.cell == coord);
+    let cfg = MatrixConfig::parse(&read("benches/matrix.toml")).unwrap();
+    let mut spec = cfg
+        .expand()
+        .into_iter()
+        .find(|s| s.coord() == coord)
+        .unwrap();
+    (spec.iters, spec.reps) = (64, 1);
+    let diff = diff_against_baseline(&run_matrix(&[spec], &RunOptions::default()), &rows);
+    let findings: Vec<String> = diff.worse.iter().map(ToString::to_string).collect();
+    assert_eq!(
+        findings,
+        ["read_into/sim:x86/4t/1ev/dir: vcyc/op 100.0000 -> 800.0000 (8.00x > limit 1.50x) (baseline line 6)"]
+    );
 }
 
 /// Barrier-start synchrony: with seed stride 0 every worker runs a
@@ -262,34 +322,15 @@ fn matrix_obs_counters_flow() {
 fn matrix_report_round_trips() {
     let results = small_results();
     let doc = render_matrix_json(&results, &score_matrix(&results));
-    let parsed = parse_matrix_json(&doc);
+    let parsed = read_baseline(&doc).unwrap();
     assert_eq!(parsed.len(), results.len());
     for (p, r) in parsed.iter().zip(&results) {
-        assert_eq!(p.coord(), r.spec.coord());
-        assert_eq!(p.supported, r.supported);
+        assert_eq!(p.cell, r.spec.coord());
+        assert_eq!(
+            p.value.get("supported").and_then(Value::as_bool),
+            Some(r.supported)
+        );
         // vcyc is rendered at 4 decimals; parse must recover that value.
-        assert!((p.vcyc_per_op - r.vcyc_per_op).abs() < 1e-4);
+        assert!((vcyc_of(p) - r.vcyc_per_op).abs() < 1e-4);
     }
-}
-
-/// The committed perf trajectory is in canonical form: sorted by
-/// `(bench, substrate)` and byte-stable under `parse ∘ render`.
-#[test]
-fn committed_trajectory_is_canonical() {
-    let path = bench_json::default_path();
-    let text = std::fs::read_to_string(&path).expect("BENCH_hotpath.json readable");
-    let records = bench_json::parse(&text).expect("BENCH_hotpath.json parses");
-    assert!(records.len() >= 20, "trajectory unexpectedly small");
-    let keys: Vec<(String, String)> = records
-        .iter()
-        .map(|r| (r.bench.clone(), r.substrate.clone()))
-        .collect();
-    let mut sorted = keys.clone();
-    sorted.sort();
-    assert_eq!(keys, sorted, "committed trajectory must be key-sorted");
-    assert_eq!(
-        bench_json::render(&records),
-        text,
-        "committed trajectory must be in render-canonical form"
-    );
 }

@@ -17,8 +17,9 @@
 //! in-tree by `cargo test`.
 
 use papi_core::SubstrateRegistry;
+use papi_obs::json::{BaselineRow, Value};
 use papi_tools::validate::{
-    diff_against_parsed, parse_matrix_json, run_matrix, Cell, Mode, ValidateConfig,
+    diff_against_baseline, read_baseline, run_matrix, Cell, Mode, ValidateConfig,
     VALIDATION_PRESETS,
 };
 use papi_workloads::Grade;
@@ -156,23 +157,18 @@ pub fn run_validation_checks(
         }
     }
 
-    let baseline = parse_matrix_json(baseline_text);
-    let defended: Vec<_> = baseline
-        .iter()
-        .filter(|b| cfg.substrates.contains(&b.substrate))
-        .cloned()
-        .collect();
-    let diff = diff_against_parsed(&cells, &defended);
-    for r in &diff.regressions {
+    let (mut baseline, coverage) = read_golden(baseline_text);
+    baseline.retain(|b| cfg.substrates.iter().any(|s| s == field(b, "substrate")));
+    for f in diff_against_baseline(&cells, &baseline).worse {
         divs.push(GradeDivergence {
             check: "grade-regression-vs-baseline",
-            cell: r.cell.clone(),
-            baseline_line: Some(r.baseline_line),
-            detail: format!("{} -> {}", r.baseline_grade, r.current_grade),
+            cell: f.cell,
+            baseline_line: Some(f.line),
+            detail: f.detail,
         });
     }
 
-    divs.extend(baseline_coverage(&baseline));
+    divs.extend(coverage);
     divs
 }
 
@@ -188,50 +184,62 @@ fn reference_finding(check: &'static str, c: &Cell) -> GradeDivergence {
     }
 }
 
-/// The `grade-baseline-coverage` check: a regenerated golden file that
-/// silently dropped the data-file platform, the fault-decorated substrate,
-/// a mode or a preset would hollow out the regression gate without failing
-/// it — so the baseline's own span is a conformance condition.
-fn baseline_coverage(baseline: &[papi_tools::validate::ParsedCell]) -> Vec<GradeDivergence> {
-    let mut divs = Vec::new();
-    let mut missing = |cell: &str, detail: String| {
-        divs.push(GradeDivergence {
-            check: "grade-baseline-coverage",
-            cell: cell.to_string(),
-            baseline_line: None,
-            detail,
-        });
+/// Read the golden and run the `grade-baseline-coverage` check on it: a
+/// regenerated golden file that silently dropped the data-file platform,
+/// the fault-decorated substrate, a mode or a preset would hollow out the
+/// regression gate without failing it — so the baseline's own span is a
+/// conformance condition.  A golden the baseline engine refuses is one
+/// finding and defends no cell.
+fn read_golden(text: &str) -> (Vec<BaselineRow>, Vec<GradeDivergence>) {
+    let finding = |baseline_line, detail| GradeDivergence {
+        check: "grade-baseline-coverage",
+        cell: "(baseline)".to_string(),
+        baseline_line,
+        detail,
     };
-    if baseline.is_empty() {
-        missing(
-            "(baseline)",
-            "no cells parsed from the golden matrix".to_string(),
-        );
-        return divs;
-    }
-    if !baseline.iter().any(|b| b.substrate.starts_with("file:")) {
-        missing(
-            "(baseline)",
+    let baseline = match read_baseline(text) {
+        Ok(rows) => rows,
+        Err(e) => return (Vec::new(), vec![finding(Some(e.line), e.msg)]),
+    };
+    let mut divs = Vec::new();
+    if !baseline
+        .iter()
+        .any(|b| field(b, "substrate").starts_with("file:"))
+    {
+        divs.push(finding(
+            None,
             "no data-file platform (file:*) in the golden matrix".to_string(),
-        );
+        ));
     }
-    if !baseline.iter().any(|b| b.substrate.starts_with("fault[")) {
-        missing(
-            "(baseline)",
+    if !baseline
+        .iter()
+        .any(|b| field(b, "substrate").starts_with("fault["))
+    {
+        divs.push(finding(
+            None,
             "no fault-decorated substrate (fault[*]) in the golden matrix".to_string(),
-        );
+        ));
     }
     for mode in Mode::ALL {
-        if !baseline.iter().any(|b| b.mode == mode.label()) {
-            missing("(baseline)", format!("mode '{}' absent", mode.label()));
+        if !baseline.iter().any(|b| field(b, "mode") == mode.label()) {
+            divs.push(finding(None, format!("mode '{}' absent", mode.label())));
         }
     }
     for &preset in VALIDATION_PRESETS {
-        if !baseline.iter().any(|b| b.preset == preset.name()) {
-            missing("(baseline)", format!("preset {} absent", preset.name()));
+        if !baseline.iter().any(|b| field(b, "preset") == preset.name()) {
+            divs.push(finding(None, format!("preset {} absent", preset.name())));
         }
     }
-    divs
+    (baseline, divs)
+}
+
+/// A key field of a validation baseline row (the engine refuses rows
+/// without one).
+fn field<'a>(row: &'a BaselineRow, key: &str) -> &'a str {
+    row.value
+        .get(key)
+        .and_then(Value::as_str)
+        .unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -254,11 +262,14 @@ mod tests {
         // A baseline with only one clean-substrate direct cell is missing
         // the data-file platform, the fault substrate, two modes and
         // eleven presets.
-        let text = r#"{"substrate":"sim:generic","mode":"direct","workload":"inst_mix","preset":"PAPI_TOT_INS","grade":"exact"}"#;
-        let divs = baseline_coverage(&parse_matrix_json(text));
+        let text = r#"{"matrix":[
+{"substrate":"sim:generic","mode":"direct","workload":"inst_mix","preset":"PAPI_TOT_INS","grade":"exact"}
+]}
+"#;
+        let (_, divs) = read_golden(text);
         assert!(divs.iter().all(|d| d.check == "grade-baseline-coverage"));
         assert_eq!(divs.len(), 2 + 2 + (VALIDATION_PRESETS.len() - 1));
-        let empty = baseline_coverage(&parse_matrix_json(""));
+        let (_, empty) = read_golden("");
         assert_eq!(empty.len(), 1);
     }
 }

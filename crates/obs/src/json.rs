@@ -1,20 +1,30 @@
-//! The suite's one JSON codec: a value type, a reader and a writer.
+//! The suite's one JSON codec: a value type, a reader, a writer, and the
+//! one baseline diff of the line-per-cell goldens.
 //!
 //! Every JSON document the workspace reads or writes goes through here:
-//! the line-per-cell goldens (`results/validation_matrix.json`,
-//! `results/bench_matrix.json`, `BENCH_hotpath.json`), the tool files
-//! (perfometer traces, tracer timelines, toolkit profiles, model
-//! signatures, `papirun --workload-file` programs) and the flat self-metric
-//! objects of [`crate::Snapshot`] and the aggregation daemon.
+//! the two line-per-cell goldens (`results/validation_matrix.json` and
+//! `results/bench_matrix.json`), the tool files (perfometer traces, tracer
+//! timelines, toolkit profiles, model signatures, `papirun --workload-file`
+//! programs) and the flat self-metric objects of [`crate::Snapshot`] and
+//! the aggregation daemon.
 //!
 //! Two properties carry the goldens:
 //!
 //! - A number is kept as its source text ([`Value::Num`]), so fixed-precision
 //!   fields such as `0.00` survive a parse and render unchanged.
-//! - [`Value::render`] writes a document in a [`Layout`]: arrays at one
-//!   nesting depth put each element on its own line, everything else is
-//!   inline.  Each golden's layout is a constant next to its writer, and
-//!   `parse` followed by `render` reproduces the file byte for byte.
+//! - [`Value::render`] writes a document in a [`Layout`]: the arrays that
+//!   are members of the root object put each element on its own line,
+//!   everything else is inline.  Each golden's layout is a constant next to
+//!   its writer, and `parse` followed by `render` reproduces the file byte
+//!   for byte.
+//!
+//! One engine defends both goldens.  [`read_baseline`] reads a golden's
+//! cell rows, each with its line, and refuses a file that cannot be one;
+//! [`diff_baseline`] matches a run's cells to those rows by coordinate.  A
+//! row the run lacks is a regression, a cell the golden lacks is added, and
+//! the caller's judge rules on each matched pair: grade rank for the
+//! validation matrix, support and vcyc/op for the benchmark matrix.  A
+//! finding reads `<cell>: <detail> (baseline line N)`.
 //!
 //! Typed files use the *derive shape*, the JSON that derive-based Rust
 //! serializers produce and that earlier builds of this suite wrote, so
@@ -27,6 +37,7 @@
 //! The reader never panics on any input and bounds nesting at
 //! [`MAX_DEPTH`]; its errors carry a `line:col` position.
 
+use std::collections::{HashMap, HashSet};
 use std::fmt::{self, Write as _};
 
 /// Deepest array/object nesting the reader accepts.
@@ -107,9 +118,8 @@ pub fn parse(text: &str) -> Result<Value, JsonError> {
 }
 
 /// The object on one line of a document in a row [`Layout`], if the line
-/// holds one (row lines end in `,` except the last).  Readers of the
-/// line-per-row goldens use this to report findings by line number.
-pub fn parse_row(line: &str) -> Option<Value> {
+/// holds exactly one (row lines end in `,` except the last).
+fn parse_row(line: &str) -> Option<Value> {
     let line = line.trim_end();
     let v = parse(line.strip_suffix(',').unwrap_or(line)).ok()?;
     matches!(v, Value::Obj(_)).then_some(v)
@@ -459,34 +469,19 @@ impl Value {
 
 // --- writer ---------------------------------------------------------------
 
-/// How [`Value::render`] breaks a document into lines.
+/// Depth of the arrays a [`Layout`] writes one element per line: the
+/// members of the root object.
+const ROW_DEPTH: usize = 1;
+
+/// How [`Value::render`] breaks a line-per-row golden into lines.
 ///
-/// Arrays at nesting depth `row_depth` (the root is depth 0) write each
-/// element on its own line, prefixed by `row_indent`; everything else is
-/// written inline.  `spaced_outer` and `spaced_rows` choose `": "`/`", "`
-/// over `":"`/`","` outside and inside those rows.
+/// Every array that is a member of the root object writes each element on
+/// its own line, compact and unindented; everything else is inline.
+/// `spaced_outer` chooses `": "`/`", "` over `":"`/`","` outside the rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Layout {
-    /// Depth of the arrays whose elements are lines.
-    pub row_depth: usize,
-    /// Prefix of each row line.
-    pub row_indent: &'static str,
     /// Spaced separators outside the rows.
     pub spaced_outer: bool,
-    /// Spaced separators inside the rows.
-    pub spaced_rows: bool,
-}
-
-impl Layout {
-    /// Everything on one line, with the given separators.
-    const fn inline(spaced: bool) -> Layout {
-        Layout {
-            row_depth: usize::MAX,
-            row_indent: "",
-            spaced_outer: spaced,
-            spaced_rows: spaced,
-        }
-    }
 }
 
 fn write_str(out: &mut String, s: &str) {
@@ -513,7 +508,7 @@ impl Value {
     /// The document on one line, without spaces.
     pub fn to_compact(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, &Layout::inline(false), 0);
+        self.write(&mut out, None, 0);
         out
     }
 
@@ -528,23 +523,23 @@ impl Value {
     /// The document in `layout`, with a trailing newline.
     pub fn render(&self, layout: &Layout) -> String {
         let mut out = String::new();
-        self.write(&mut out, layout, 0);
+        self.write(&mut out, Some(*layout), 0);
         out.push('\n');
         out
     }
 
-    fn write(&self, out: &mut String, layout: &Layout, depth: usize) {
-        let (colon, comma) = if layout.spaced_outer {
+    /// Write in `layout`, or on one compact line if there is none.
+    fn write(&self, out: &mut String, layout: Option<Layout>, depth: usize) {
+        let (colon, comma) = if layout.is_some_and(|l| l.spaced_outer) {
             (": ", ", ")
         } else {
             (":", ",")
         };
         match self {
-            Value::Arr(rows) if depth == layout.row_depth => {
+            Value::Arr(rows) if layout.is_some() && depth == ROW_DEPTH => {
                 out.push_str("[\n");
                 for (i, row) in rows.iter().enumerate() {
-                    out.push_str(layout.row_indent);
-                    row.write(out, &Layout::inline(layout.spaced_rows), 0);
+                    row.write(out, None, 0);
                     out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
                 }
                 out.push(']');
@@ -603,9 +598,175 @@ impl Value {
                 pad(out, depth);
                 out.push('}');
             }
-            v => v.write(out, &Layout::inline(false), 0),
+            v => v.write(out, None, 0),
         }
     }
+}
+
+// --- baselines ------------------------------------------------------------
+
+/// One cell row of a golden read as a diff baseline.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BaselineRow {
+    /// 1-based line of the row in the golden.
+    pub line: usize,
+    /// The row's coordinate, the key a run's cell is matched by.
+    pub cell: String,
+    /// The row.
+    pub value: Value,
+}
+
+/// Why a document cannot serve as a baseline; shown as `line N: what`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BaselineError {
+    /// 1-based line the refusal names.
+    pub line: usize,
+    /// What is wrong there.
+    pub msg: String,
+}
+
+impl fmt::Display for BaselineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "line {}: {}", self.line, self.msg)
+    }
+}
+
+/// Read the cell rows of a golden written in a row [`Layout`]: the rows
+/// of its first row array, which line 1 opens and a line starting with `]`
+/// closes.  `key` gives a row's coordinate, or `None` when the row lacks a
+/// field the caller reads.
+///
+/// A document that does not parse, a cell line that is not exactly one
+/// object or lacks a key field, a coordinate on two lines and a document
+/// without cell rows are refused, so a wrong or damaged file cannot pass
+/// for a baseline that defends nothing.
+pub fn read_baseline(
+    text: &str,
+    key: impl Fn(&Value) -> Option<String>,
+) -> Result<Vec<BaselineRow>, BaselineError> {
+    let refuse = |line, msg: String| BaselineError { line, msg };
+    let mut rows = Vec::new();
+    let mut lines = text.lines().zip(1..);
+    if lines
+        .next()
+        .is_some_and(|(l, _)| l.trim_end().ends_with('['))
+    {
+        for (l, line) in lines.take_while(|(l, _)| !l.starts_with(']')) {
+            let value =
+                parse_row(l).ok_or_else(|| refuse(line, "not exactly one cell object".into()))?;
+            let cell = key(&value).ok_or_else(|| refuse(line, "cell lacks a key field".into()))?;
+            rows.push(BaselineRow { line, cell, value });
+        }
+    }
+    // After the rows, so a broken row is named by its own line rather
+    // than by the line where the whole-document parse gives up.
+    if let Err(e) = parse(text) {
+        let line = e.at.map_or(1, |(line, _)| line);
+        return Err(refuse(line, format!("not a JSON document ({e})")));
+    }
+    if rows.is_empty() {
+        return Err(refuse(1, "no cell rows".into()));
+    }
+    let mut seen = HashMap::with_capacity(rows.len());
+    for row in &rows {
+        if let Some(first) = seen.insert(row.cell.as_str(), row.line) {
+            let msg = format!("{} repeats line {first}", row.cell);
+            return Err(refuse(row.line, msg));
+        }
+    }
+    Ok(rows)
+}
+
+/// A judge's ruling on one run cell against its baseline row.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Verdict {
+    /// Nothing to report.
+    Same,
+    /// Better than the baseline; the detail says how.
+    Better(String),
+    /// Worse than the baseline; the detail says how.
+    Worse(String),
+}
+
+/// One finding of a baseline diff, shown as
+/// `<cell>: <detail> (baseline line N)`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Finding {
+    /// The cell's coordinate.
+    pub cell: String,
+    /// What changed.
+    pub detail: String,
+    /// 1-based line of the cell's row in the golden.
+    pub line: usize,
+}
+
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}: {} (baseline line {})",
+            self.cell, self.detail, self.line
+        )
+    }
+}
+
+/// A run diffed against a baseline.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Diff {
+    /// Cells that got worse or are missing from the run: regressions.
+    pub worse: Vec<Finding>,
+    /// Cells that got better, where the baseline is stale.
+    pub better: Vec<Finding>,
+    /// Coordinates of run cells the baseline lacks.
+    pub added: Vec<String>,
+}
+
+impl Diff {
+    /// True when nothing regressed.
+    pub fn clean(&self) -> bool {
+        self.worse.is_empty()
+    }
+}
+
+/// Diff the cells of a run against baseline rows, all of a golden's or a
+/// filtered subset (findings keep the rows' own lines).  `coord` gives a
+/// run cell's coordinate.  A row the run lacks is worse, described by
+/// `missing`; `judge` rules on every matched pair.
+pub fn diff_baseline<C>(
+    rows: &[BaselineRow],
+    run: &[C],
+    coord: impl Fn(&C) -> String,
+    missing: impl Fn(&Value) -> String,
+    judge: impl Fn(&Value, &C) -> Verdict,
+) -> Diff {
+    let coords: Vec<String> = run.iter().map(coord).collect();
+    let mut by_coord = HashMap::with_capacity(run.len());
+    for (c, cell) in coords.iter().zip(run) {
+        by_coord.entry(c.as_str()).or_insert(cell);
+    }
+    let mut diff = Diff::default();
+    for row in rows {
+        let verdict = match by_coord.get(row.cell.as_str()) {
+            None => Verdict::Worse(missing(&row.value)),
+            Some(cell) => judge(&row.value, cell),
+        };
+        let finding = |detail| Finding {
+            cell: row.cell.clone(),
+            detail,
+            line: row.line,
+        };
+        match verdict {
+            Verdict::Worse(detail) => diff.worse.push(finding(detail)),
+            Verdict::Better(detail) => diff.better.push(finding(detail)),
+            Verdict::Same => {}
+        }
+    }
+    let known: HashSet<&str> = rows.iter().map(|r| r.cell.as_str()).collect();
+    diff.added = coords
+        .into_iter()
+        .filter(|c| !known.contains(c.as_str()))
+        .collect();
+    diff
 }
 
 // --- typed conversion -------------------------------------------------------
@@ -811,15 +972,9 @@ mod tests {
             "{\n  \"n\": 1,\n  \"f\": 0.5,\n  \"s\": \"a\\\"b\\\\c\\n\\u0001é\",\n  \"pair\": [\n    \"k\",\n    7\n  ],\n  \"none\": null,\n  \"empty\": []\n}"
         );
         let rows = Value::object([("rows", Value::Arr(vec![v.clone(), v.clone()]))]);
-        let layout = Layout {
-            row_depth: 1,
-            row_indent: "  ",
-            spaced_outer: true,
-            spaced_rows: false,
-        };
-        let doc = rows.render(&layout);
+        let doc = rows.render(&Layout { spaced_outer: true });
         assert_eq!(doc.lines().count(), 4);
-        assert!(doc.starts_with("{\"rows\": [\n  {\"n\":1,"));
+        assert!(doc.starts_with("{\"rows\": [\n{\"n\":1,"));
         assert_eq!(parse(&doc).unwrap(), rows);
         assert_eq!(parse(&v.to_pretty()).unwrap(), v);
     }
@@ -852,5 +1007,140 @@ mod tests {
         let e = v.field::<u64>("b").unwrap_err();
         assert_eq!(e.to_string(), "missing field `b`");
         assert_eq!(v.field::<Option<u64>>("b"), Ok(None));
+    }
+
+    /// A golden in the benchmark report's shape: the cell rows, then a
+    /// second row array the baseline reader must not take for cells.
+    const GOLDEN: &str = "{\"schema\": 1, \"matrix\": [\n\
+        {\"id\":\"a\",\"v\":1},\n\
+        {\"id\":\"b\",\"v\":2},\n\
+        {\"id\":\"c\",\"v\":3}\n\
+        ], \"scores\": [\n\
+        {\"pp\":1}\n\
+        ]}\n";
+
+    fn key(row: &Value) -> Option<String> {
+        row.get("v")?.as_u64()?;
+        row.get("id")?.as_str().map(str::to_string)
+    }
+
+    fn refusal(text: &str) -> String {
+        read_baseline(text, key).unwrap_err().to_string()
+    }
+
+    /// `run` against `rows`, where a cell is `(id, v)` and a larger `v` is
+    /// worse.
+    fn diff_of(rows: &[BaselineRow], run: &[(&str, u64)]) -> Vec<String> {
+        let diff = diff_baseline(
+            rows,
+            run,
+            |c| c.0.to_string(),
+            |_| "missing".to_string(),
+            |row, c| {
+                let was = row.get("v").and_then(Value::as_u64).unwrap();
+                let detail = format!("{was} -> {}", c.1);
+                match c.1.cmp(&was) {
+                    std::cmp::Ordering::Greater => Verdict::Worse(detail),
+                    std::cmp::Ordering::Less => Verdict::Better(detail),
+                    std::cmp::Ordering::Equal => Verdict::Same,
+                }
+            },
+        );
+        let worse = diff.worse.iter().map(|f| format!("worse {f}"));
+        let better = diff.better.iter().map(|f| format!("better {f}"));
+        let added = diff.added.iter().map(|c| format!("added {c}"));
+        worse.chain(better).chain(added).collect()
+    }
+
+    #[test]
+    fn baseline_rows_are_the_first_row_array_with_their_lines() {
+        let rows = read_baseline(GOLDEN, key).unwrap();
+        let at: Vec<(usize, &str)> = rows.iter().map(|r| (r.line, r.cell.as_str())).collect();
+        assert_eq!(at, [(2, "a"), (3, "b"), (4, "c")]);
+        assert_eq!(rows[1].value.get("v"), Some(&Value::Num("2".into())));
+        assert!(diff_of(&rows, &[("a", 1), ("b", 2), ("c", 3)]).is_empty());
+    }
+
+    #[test]
+    fn refuses_a_document_that_does_not_parse() {
+        assert_eq!(
+            refusal("# not JSON\n"),
+            "line 1: not a JSON document (1:1: expected a value)"
+        );
+        let header = GOLDEN.replace("\"schema\": 1,", "\"schema\": 1,,");
+        assert_eq!(
+            refusal(&header),
+            "line 1: not a JSON document (1:14: expected a string key)"
+        );
+    }
+
+    #[test]
+    fn refuses_a_golden_without_cell_rows() {
+        assert_eq!(refusal("{\"matrix\": [\n]}\n"), "line 1: no cell rows");
+        assert_eq!(refusal("{}"), "line 1: no cell rows");
+    }
+
+    #[test]
+    fn refuses_a_cell_line_that_is_not_exactly_one_object() {
+        // An unclosed row is named by its own line, not by line 4 where
+        // the whole-document parse gives up.
+        let unclosed = GOLDEN.replace("\"v\":2},", "\"v\":2,");
+        assert_eq!(refusal(&unclosed), "line 3: not exactly one cell object");
+        let two = GOLDEN.replace("\"v\":2},", "\"v\":2}, {\"id\":\"d\",\"v\":4},");
+        assert_eq!(refusal(&two), "line 3: not exactly one cell object");
+    }
+
+    #[test]
+    fn refuses_a_cell_that_lacks_a_key_field() {
+        let keyless = GOLDEN.replace("\"id\":\"b\",", "");
+        assert_eq!(refusal(&keyless), "line 3: cell lacks a key field");
+        let mistyped = GOLDEN.replace("\"v\":2", "\"v\":\"2\"");
+        assert_eq!(refusal(&mistyped), "line 3: cell lacks a key field");
+    }
+
+    #[test]
+    fn refuses_a_repeated_coordinate_naming_both_lines() {
+        let twice = GOLDEN.replace("\"id\":\"c\"", "\"id\":\"a\"");
+        assert_eq!(refusal(&twice), "line 4: a repeats line 2");
+    }
+
+    #[test]
+    fn a_row_missing_from_the_run_is_worse() {
+        let rows = read_baseline(GOLDEN, key).unwrap();
+        assert_eq!(
+            diff_of(&rows, &[("a", 1), ("c", 3)]),
+            ["worse b: missing (baseline line 3)"]
+        );
+    }
+
+    #[test]
+    fn a_run_cell_missing_from_the_baseline_is_added() {
+        let rows = read_baseline(GOLDEN, key).unwrap();
+        assert_eq!(
+            diff_of(&rows, &[("a", 1), ("b", 2), ("c", 3), ("d", 9)]),
+            ["added d"]
+        );
+    }
+
+    #[test]
+    fn the_judge_rules_matched_cells_worse_or_better() {
+        let rows = read_baseline(GOLDEN, key).unwrap();
+        assert_eq!(
+            diff_of(&rows, &[("a", 1), ("b", 5), ("c", 0)]),
+            [
+                "worse b: 2 -> 5 (baseline line 3)",
+                "better c: 3 -> 0 (baseline line 4)"
+            ]
+        );
+    }
+
+    #[test]
+    fn a_filtered_subset_keeps_the_golden_lines() {
+        let mut rows = read_baseline(GOLDEN, key).unwrap();
+        rows.retain(|r| r.cell != "a");
+        assert_eq!(
+            diff_of(&rows, &[("b", 2), ("c", 4)]),
+            ["worse c: 3 -> 4 (baseline line 4)"]
+        );
     }
 }

@@ -21,7 +21,9 @@
 //!   Prometheus-style text exposition;
 //! * the suite's one **JSON codec** ([`json`]), shared by every crate that
 //!   reads or writes JSON, and its one **TOML-subset reader** ([`toml`]),
-//!   under the platform-model files and the benchmark-matrix config.
+//!   under the platform-model files and the benchmark-matrix config;
+//! * a **per-thread CPU clock** ([`thread_cpu_ns`]) for the harnesses that
+//!   time contended reads.
 //!
 //! The whole layer hangs off an `Option<ObsHandle>` inside the core `Papi`
 //! context: when no handle is attached (the default), every instrumentation
@@ -49,6 +51,31 @@ pub use registry::{Counter, Registry, Span, COUNTERS, NUM_COUNTERS};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// Best-effort CPU time consumed by the calling thread so far, in
+/// nanoseconds (Linux: the on-CPU field of `/proc/thread-self/schedstat`).
+/// Returns `None` where the interface is unavailable; callers fall back to
+/// wall-clock.
+///
+/// Why this exists: contention benchmarks must distinguish "the read path
+/// serialized on a shared lock" from "the host has fewer cores than worker
+/// threads". Wall-clock per-op time inflates with time-slicing on a
+/// single-core CI box even for perfectly independent threads; per-thread
+/// CPU time does not — it charges each thread only for cycles it actually
+/// burned, which is exactly the lock-free claim under test.
+///
+/// The scheduler updates the on-CPU account lazily (on ticks and context
+/// switches), so a yield is issued first to force the calling thread
+/// through the scheduler and make the reading current.
+pub fn thread_cpu_ns() -> Option<u64> {
+    std::thread::yield_now();
+    std::fs::read_to_string("/proc/thread-self/schedstat")
+        .ok()?
+        .split_whitespace()
+        .next()?
+        .parse()
+        .ok()
+}
 
 /// Identifier for one of the built-in latency histograms.
 ///

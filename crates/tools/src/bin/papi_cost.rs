@@ -17,6 +17,7 @@
 //! over-cover) the real hot paths.
 
 use papi_core::{Papi, Preset, SimSubstrate, Substrate};
+use papi_obs::thread_cpu_ns;
 use simcpu::{all_platforms, Machine, PlatformSpec};
 
 // Count host heap traffic so `--self-check` can report allocations per
@@ -249,20 +250,6 @@ fn self_check_aggd() -> bool {
         "aggd ingest", frames_per_sec, stats.bytes_per_tenant, allocs_per_frame
     );
     allocs == 0
-}
-
-/// Best-effort per-thread CPU time in nanoseconds (Linux schedstat; the
-/// yield forces the scheduler to bring the account current). Duplicated
-/// from papi-bench's helper — papi-tools sits below papi-bench in the
-/// dependency graph, so it cannot import it.
-fn thread_cpu_ns() -> Option<u64> {
-    std::thread::yield_now();
-    std::fs::read_to_string("/proc/thread-self/schedstat")
-        .ok()?
-        .split_whitespace()
-        .next()?
-        .parse()
-        .ok()
 }
 
 /// Contention row: per-thread CPU cost of the token `read_into` path at 1

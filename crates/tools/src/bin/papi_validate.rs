@@ -16,11 +16,13 @@
 //! report. `--baseline PATH` additionally diffs the fresh matrix against a
 //! golden matrix file: any cell whose grade got worse (or vanished) is
 //! printed with its baseline line number and the tool exits 1 — the CI
-//! accuracy-regression gate.
+//! accuracy-regression gate. A file that cannot be a golden (it does not
+//! parse, has no cell rows, a damaged or keyless cell line, or a repeated
+//! cell) is refused with its line before any cell runs, exit 2.
 
 use papi_tools::validate::{
-    default_substrates, diff_against_baseline, render_matrix, render_matrix_json, run_matrix,
-    ValidateConfig,
+    default_substrates, diff_against_baseline, read_baseline, render_matrix, render_matrix_json,
+    run_matrix, ValidateConfig,
 };
 use std::sync::Arc;
 
@@ -100,6 +102,20 @@ fn main() {
         cfg.threads = t;
     }
 
+    // Refuse a bad baseline before running any cell.
+    let baseline = baseline.map(|path| {
+        let rows = std::fs::read_to_string(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| read_baseline(&text).map_err(|e| e.to_string()));
+        match rows {
+            Ok(rows) => (path, rows),
+            Err(e) => {
+                eprintln!("papi_validate: baseline {path}: {e}");
+                std::process::exit(2);
+            }
+        }
+    });
+
     let reg = Arc::new(reg);
     let cells = run_matrix(&reg, &cfg);
 
@@ -109,16 +125,9 @@ fn main() {
         print!("{}", render_matrix(&cells));
     }
 
-    if let Some(path) = baseline {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("papi_validate: baseline {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        let diff = diff_against_baseline(&cells, &text);
-        for imp in &diff.improvements {
+    if let Some((path, rows)) = baseline {
+        let diff = diff_against_baseline(&cells, &rows);
+        for imp in &diff.better {
             eprintln!("papi_validate: improved: {imp}");
         }
         if !diff.added.is_empty() {
@@ -127,13 +136,13 @@ fn main() {
                 diff.added.len()
             );
         }
-        if !diff.is_regression_free() {
-            for r in &diff.regressions {
+        if !diff.clean() {
+            for r in &diff.worse {
                 eprintln!("papi_validate: GRADE REGRESSION: {r}");
             }
             eprintln!(
                 "papi_validate: {} grade regression(s) vs {path}",
-                diff.regressions.len()
+                diff.worse.len()
             );
             std::process::exit(1);
         }

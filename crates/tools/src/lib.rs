@@ -38,9 +38,8 @@ pub use papirun::{papirun_in, papirun_named, papirun_with, RunOptions, RunReport
 pub use perfometer::{Perfometer, TracePoint};
 pub use tracer::{IntervalRecord, Timeline, Tracer};
 pub use validate::{
-    default_substrates, diff_against_baseline, diff_against_parsed, parse_matrix_json,
-    render_matrix, render_matrix_json, run_matrix, BaselineDiff, Cell, Mode, ParsedCell,
-    Regression, ValidateConfig, VALIDATION_PRESETS,
+    default_substrates, diff_against_baseline, read_baseline, render_matrix, render_matrix_json,
+    run_matrix, Cell, Mode, ValidateConfig, VALIDATION_PRESETS,
 };
 
 use papi_core::SubstrateRegistry;

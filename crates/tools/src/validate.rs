@@ -18,10 +18,11 @@
 //!
 //! The matrix serializes to a line-per-cell JSON document
 //! ([`render_matrix_json`]) that is checked into `results/` as a golden
-//! baseline: [`diff_against_baseline`] compares a fresh run against it and
-//! reports every cell whose grade got *worse* (by [`Grade::rank`]) with
-//! the baseline line number — an accuracy regression is a named,
-//! line-numbered CI failure, not a silent drift.
+//! baseline: [`read_baseline`] reads it through the one baseline engine in
+//! [`papi_obs::json`], and [`diff_against_baseline`] reports every cell
+//! whose grade got *worse* (by [`Grade::rank`]) with the baseline line
+//! number — an accuracy regression is a named, line-numbered CI failure,
+//! not a silent drift.
 //!
 //! Modes:
 //!
@@ -36,9 +37,10 @@
 
 use crate::calibrate::expected_preset_value;
 use papi_core::{Papi, Preset, Substrate, SubstrateRegistry, ThreadedPapi};
-use papi_obs::json::{self, Layout, ToJson, Value};
+use papi_obs::json::{self, BaselineError, BaselineRow, Diff, Layout, ToJson, Value, Verdict};
 use papi_workloads::grading::{self, Grade};
 use papi_workloads::{validation_suite, Workload};
+use std::cmp::Ordering;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -408,10 +410,7 @@ pub fn run_matrix(reg: &Arc<SubstrateRegistry>, cfg: &ValidateConfig) -> Vec<Cel
 /// Line layout of the validation-matrix golden: `{"matrix":[`, one cell
 /// object per line, `]}`.
 pub const MATRIX_LAYOUT: Layout = Layout {
-    row_depth: 1,
-    row_indent: "",
     spaced_outer: false,
-    spaced_rows: false,
 };
 
 /// Serialize the matrix as line-per-cell JSON (one cell per line is what
@@ -436,169 +435,59 @@ pub fn render_matrix_json(cells: &[Cell]) -> String {
     Value::object([("matrix", Value::Arr(rows))]).render(&MATRIX_LAYOUT)
 }
 
-/// One cell parsed back from a matrix JSON document.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsedCell {
-    /// 1-based line number in the source document.
-    pub line: usize,
-    pub substrate: String,
-    pub mode: String,
-    pub workload: String,
-    pub preset: String,
-    pub grade: String,
-}
-
-impl ParsedCell {
-    pub fn coord(&self) -> String {
-        format!(
+/// Read a validation-matrix golden as a baseline: one row per cell, keyed
+/// by `substrate/mode/workload/preset` and carrying its grade.
+pub fn read_baseline(text: &str) -> Result<Vec<BaselineRow>, BaselineError> {
+    json::read_baseline(text, |row| {
+        let field = |k| row.get(k).and_then(Value::as_str);
+        field("grade")?;
+        Some(format!(
             "{}/{}/{}/{}",
-            self.substrate, self.mode, self.workload, self.preset
-        )
-    }
-
-    /// Severity rank of the recorded grade label (see [`Grade::rank`]).
-    pub fn rank(&self) -> u8 {
-        match self.grade.as_str() {
-            "exact" => 0,
-            "within" => 1,
-            "deviates" => 2,
-            _ => 3,
-        }
-    }
+            field("substrate")?,
+            field("mode")?,
+            field("workload")?,
+            field("preset")?
+        ))
+    })
 }
 
-/// Parse a matrix JSON document (as produced by [`render_matrix_json`])
-/// back into its cells, with line numbers. Tolerates unknown fields;
-/// ignores lines that are not cell objects.
-pub fn parse_matrix_json(text: &str) -> Vec<ParsedCell> {
-    let mut cells = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let Some(row) = json::parse_row(line) else {
-            continue;
-        };
-        let field = |k: &str| row.get(k).and_then(Value::as_str).map(str::to_string);
-        let (Some(substrate), Some(mode), Some(workload), Some(preset), Some(grade)) = (
-            field("substrate"),
-            field("mode"),
-            field("workload"),
-            field("preset"),
-            field("grade"),
-        ) else {
-            continue;
-        };
-        cells.push(ParsedCell {
-            line: i + 1,
-            substrate,
-            mode,
-            workload,
-            preset,
-            grade,
-        });
-    }
-    cells
+/// The grade label a baseline row records.
+fn grade_of(row: &Value) -> &str {
+    row.get("grade").and_then(Value::as_str).unwrap_or_default()
 }
 
-/// One baseline comparison finding.
-#[derive(Debug, Clone)]
-pub struct Regression {
-    /// `substrate/mode/workload/preset`.
-    pub cell: String,
-    /// Line in the baseline document that recorded the old grade.
-    pub baseline_line: usize,
-    pub baseline_grade: String,
-    /// The fresh grade; `"missing"` when the cell vanished entirely.
-    pub current_grade: String,
-}
-
-impl std::fmt::Display for Regression {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}: {} -> {} (baseline line {})",
-            self.cell, self.baseline_grade, self.current_grade, self.baseline_line
-        )
+/// Severity rank of a recorded grade label (see [`Grade::rank`]).
+fn label_rank(label: &str) -> u8 {
+    match label {
+        "exact" => 0,
+        "within" => 1,
+        "deviates" => 2,
+        _ => 3,
     }
 }
 
-/// Result of diffing a fresh matrix against a golden baseline.
-#[derive(Debug, Clone, Default)]
-pub struct BaselineDiff {
-    /// Cells whose grade got worse, or disappeared. Any entry here is a
-    /// CI failure.
-    pub regressions: Vec<Regression>,
-    /// Cells whose grade got better (the baseline should be refreshed).
-    pub improvements: Vec<Regression>,
-    /// Cells present now but absent from the baseline.
-    pub added: Vec<String>,
-}
-
-impl BaselineDiff {
-    pub fn is_regression_free(&self) -> bool {
-        self.regressions.is_empty()
-    }
-}
-
-/// Compare `current` against the baseline JSON text: a cell regresses when
-/// its grade rank got worse ([`Grade::rank`]) or it vanished. Grades
-/// merely *moving within* a rank (a different `within` error) are not
-/// regressions — accuracy class is the contract, not the exact estimate.
-pub fn diff_against_baseline(current: &[Cell], baseline_text: &str) -> BaselineDiff {
-    diff_against_parsed(current, &parse_matrix_json(baseline_text))
-}
-
-/// [`diff_against_baseline`] against already-parsed baseline cells. Callers
-/// grading a *subset* of the golden matrix (the conformance suite runs a
-/// trimmed substrate list) filter the parsed cells first — the retained
-/// cells keep their original line numbers, so findings still point into
-/// the golden file.
-pub fn diff_against_parsed(current: &[Cell], baseline: &[ParsedCell]) -> BaselineDiff {
-    let mut diff = BaselineDiff::default();
-    for b in baseline {
-        let now = current.iter().find(|c| {
-            c.substrate == b.substrate
-                && c.mode.label() == b.mode
-                && c.workload == b.workload
-                && c.preset.name() == b.preset
-        });
-        match now {
-            None => diff.regressions.push(Regression {
-                cell: b.coord(),
-                baseline_line: b.line,
-                baseline_grade: b.grade.clone(),
-                current_grade: "missing".to_string(),
-            }),
-            Some(c) => {
-                let (now_rank, now_label) = (c.grade.rank(), c.grade.label());
-                if now_rank > b.rank() {
-                    diff.regressions.push(Regression {
-                        cell: b.coord(),
-                        baseline_line: b.line,
-                        baseline_grade: b.grade.clone(),
-                        current_grade: now_label.to_string(),
-                    });
-                } else if now_rank < b.rank() {
-                    diff.improvements.push(Regression {
-                        cell: b.coord(),
-                        baseline_line: b.line,
-                        baseline_grade: b.grade.clone(),
-                        current_grade: now_label.to_string(),
-                    });
-                }
+/// Compare `current` against baseline rows: a cell is worse when its grade
+/// rank got worse ([`Grade::rank`]) or it vanished, better when its rank
+/// improved.  Grades merely *moving within* a rank (a different `within`
+/// error) are not findings — accuracy class is the contract, not the exact
+/// estimate.  Callers grading a *subset* of the golden matrix (the
+/// conformance suite runs a trimmed substrate list) filter the rows first;
+/// the rows keep their lines, so findings still point into the golden file.
+pub fn diff_against_baseline(current: &[Cell], baseline: &[BaselineRow]) -> Diff {
+    json::diff_baseline(
+        baseline,
+        current,
+        Cell::coord,
+        |row| format!("{} -> missing", grade_of(row)),
+        |row, c| {
+            let (was, now) = (grade_of(row), c.grade.label());
+            match c.grade.rank().cmp(&label_rank(was)) {
+                Ordering::Greater => Verdict::Worse(format!("{was} -> {now}")),
+                Ordering::Less => Verdict::Better(format!("{was} -> {now}")),
+                Ordering::Equal => Verdict::Same,
             }
-        }
-    }
-    for c in current {
-        let known = baseline.iter().any(|b| {
-            c.substrate == b.substrate
-                && c.mode.label() == b.mode
-                && c.workload == b.workload
-                && c.preset.name() == b.preset
-        });
-        if !known {
-            diff.added.push(c.coord());
-        }
-    }
-    diff
+        },
+    )
 }
 
 /// Per-(substrate, mode) grade tallies plus a listing of every cell that
@@ -755,11 +644,11 @@ mod tests {
     fn json_round_trips_and_is_line_per_cell() {
         let cells = one_substrate_matrix("sim:generic");
         let json = render_matrix_json(&cells);
-        let parsed = parse_matrix_json(&json);
+        let parsed = read_baseline(&json).unwrap();
         assert_eq!(parsed.len(), cells.len());
         for (p, c) in parsed.iter().zip(&cells) {
-            assert_eq!(p.coord(), c.coord());
-            assert_eq!(p.grade, c.grade.label());
+            assert_eq!(p.cell, c.coord());
+            assert_eq!(grade_of(&p.value), c.grade.label());
         }
         // Line-addressable: first cell on line 2 (after the opening line).
         assert_eq!(parsed[0].line, 2);
@@ -768,10 +657,10 @@ mod tests {
     #[test]
     fn baseline_diff_flags_regressions_with_line_numbers() {
         let cells = one_substrate_matrix("sim:generic");
-        let baseline = render_matrix_json(&cells);
+        let baseline = read_baseline(&render_matrix_json(&cells)).unwrap();
         let clean = diff_against_baseline(&cells, &baseline);
-        assert!(clean.is_regression_free());
-        assert!(clean.improvements.is_empty());
+        assert!(clean.clean());
+        assert!(clean.better.is_empty());
         assert!(clean.added.is_empty());
 
         // Worsen one cell: exact -> deviates must be flagged with the
@@ -779,26 +668,61 @@ mod tests {
         let mut worse = cells.clone();
         worse[5].grade = Grade::Deviates { ratio: 2.0 };
         let diff = diff_against_baseline(&worse, &baseline);
-        assert_eq!(diff.regressions.len(), 1);
-        let r = &diff.regressions[0];
+        assert_eq!(diff.worse.len(), 1);
+        let r = &diff.worse[0];
         assert_eq!(r.cell, cells[5].coord());
-        assert_eq!(r.baseline_line, 2 + 5);
-        assert_eq!(r.baseline_grade, "exact");
-        assert_eq!(r.current_grade, "deviates");
+        assert_eq!(r.line, 2 + 5);
+        assert_eq!(r.detail, "exact -> deviates");
 
         // A vanished cell is also a regression.
         let missing: Vec<Cell> = cells[1..].to_vec();
         let diff = diff_against_baseline(&missing, &baseline);
-        assert_eq!(diff.regressions.len(), 1);
-        assert_eq!(diff.regressions[0].current_grade, "missing");
+        assert_eq!(diff.worse.len(), 1);
+        assert_eq!(diff.worse[0].detail, "exact -> missing");
 
         // An improved cell is reported but not a regression.
         let mut base_worse = cells.clone();
         base_worse[3].grade = Grade::Within { err: 0.01 };
-        let baseline2 = render_matrix_json(&base_worse);
+        let baseline2 = read_baseline(&render_matrix_json(&base_worse)).unwrap();
         let diff = diff_against_baseline(&cells, &baseline2);
-        assert!(diff.is_regression_free());
-        assert_eq!(diff.improvements.len(), 1);
+        assert!(diff.clean());
+        assert_eq!(diff.better.len(), 1);
+    }
+
+    /// The `papi_validate --baseline` gate on doctored copies of the
+    /// committed golden: a file that is not a golden and a row that lost
+    /// its closing brace are refused, naming their line; a row doctored to
+    /// claim `exact` is a regression at its own line.
+    #[test]
+    fn gate_refuses_damaged_baselines_and_names_doctored_lines() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let read = |rel: &str| std::fs::read_to_string(root.join(rel)).unwrap();
+        let refusal = |text: &str| read_baseline(text).unwrap_err().to_string();
+        assert!(
+            refusal(&read("README.md")).starts_with("line 1: not a JSON document (1:1: "),
+            "{}",
+            refusal(&read("README.md"))
+        );
+
+        let golden = read("results/validation_matrix.json");
+        let line = golden.lines().nth(327).unwrap();
+        assert!(line.starts_with("{\"substrate\":\"sim:alpha\",\"mode\":\"direct\""));
+        let exact = line.replace("\"grade\":\"deviates\"", "\"grade\":\"exact\"");
+        let unclosed = format!("{},", exact.strip_suffix("},").unwrap());
+        assert_eq!(
+            refusal(&golden.replacen(line, &unclosed, 1)),
+            "line 328: not exactly one cell object"
+        );
+
+        let mut rows = read_baseline(&golden.replacen(line, &exact, 1)).unwrap();
+        rows.retain(|r| r.cell.starts_with("sim:alpha/"));
+        let diff = diff_against_baseline(&one_substrate_matrix("sim:alpha"), &rows);
+        let findings: Vec<String> = diff.worse.iter().map(ToString::to_string).collect();
+        assert_eq!(
+            findings,
+            ["sim:alpha/direct/convert_mix/PAPI_FP_INS: exact -> deviates (baseline line 328)"]
+        );
+        assert!(diff.better.is_empty() && diff.added.is_empty());
     }
 
     #[test]

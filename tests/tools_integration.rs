@@ -374,7 +374,7 @@ fn papi_validate_end_to_end_with_platform_file_and_faults() {
     // across all three modes, round-trip the line-per-cell JSON, and prove
     // a doctored baseline turns into line-numbered grade regressions.
     use papi_suite::tools::validate::{
-        diff_against_baseline, parse_matrix_json, render_matrix, render_matrix_json, run_matrix,
+        diff_against_baseline, read_baseline, render_matrix, render_matrix_json, run_matrix,
         ValidateConfig, VALIDATION_PRESETS,
     };
     use std::sync::Arc;
@@ -404,29 +404,31 @@ fn papi_validate_end_to_end_with_platform_file_and_faults() {
 
     // JSON round-trip: one line per cell, parsed back loss-free.
     let json = render_matrix_json(&cells);
-    let parsed = parse_matrix_json(&json);
+    let parsed = read_baseline(&json).unwrap();
     assert_eq!(parsed.len(), cells.len());
     for (p, c) in parsed.iter().zip(&cells) {
-        assert_eq!(p.coord(), c.coord());
-        assert_eq!(p.grade, c.grade.label());
+        assert_eq!(p.cell, c.coord());
+        assert_eq!(
+            p.value.get("grade").unwrap().as_str(),
+            Some(c.grade.label())
+        );
     }
 
     // Self-diff is clean; a baseline doctored to claim every multiplexed
     // `within` cell was `exact` yields regressions whose baseline line
     // numbers point at the doctored cells.
-    assert!(diff_against_baseline(&cells, &json).is_regression_free());
+    assert!(diff_against_baseline(&cells, &parsed).clean());
     let doctored = json.replace("\"grade\":\"within\"", "\"grade\":\"exact\"");
-    let diff = diff_against_baseline(&cells, &doctored);
-    assert!(!diff.is_regression_free(), "no within cells to doctor?");
-    for r in &diff.regressions {
-        assert_eq!(r.baseline_grade, "exact");
-        assert_eq!(r.current_grade, "within");
-        let line = doctored.lines().nth(r.baseline_line - 1).unwrap();
+    let diff = diff_against_baseline(&cells, &read_baseline(&doctored).unwrap());
+    assert!(!diff.clean(), "no within cells to doctor?");
+    for r in &diff.worse {
+        assert_eq!(r.detail, "exact -> within");
+        let line = doctored.lines().nth(r.line - 1).unwrap();
         let preset = r.cell.rsplit('/').next().unwrap();
         assert!(
             line.contains(preset),
             "baseline line {} does not record cell {}",
-            r.baseline_line,
+            r.line,
             r.cell
         );
     }
@@ -443,15 +445,14 @@ fn papi_validate_end_to_end_with_platform_file_and_faults() {
     }
 }
 
-/// The three line-per-row goldens go through the one JSON codec loss-free:
+/// The two line-per-row goldens go through the one JSON codec loss-free:
 /// parse followed by render in the writer's layout reproduces each file
 /// byte for byte (numbers keep their source text, rows their lines).
 #[test]
 fn goldens_survive_parse_and_render() {
     use papi_suite::obs::json::{self, Layout};
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let goldens: [(&str, Layout); 3] = [
-        ("BENCH_hotpath.json", papi_bench::bench_json::LAYOUT),
+    let goldens: [(&str, Layout); 2] = [
         (
             "results/bench_matrix.json",
             papi_bench::matrix::report::REPORT_LAYOUT,
