@@ -758,6 +758,34 @@ mod tests {
         assert!(back.bytes_per_tenant > 0);
     }
 
+    /// 10^5 served sessions, each a frame and a close, with source ids
+    /// strided by the tenant count: the tenants keep a bit per session,
+    /// where a full anti-replay window each would reach ~800 KB.
+    #[test]
+    fn closed_sessions_keep_tenant_memory_small() {
+        const TENANTS: u64 = 8;
+        let agg = Aggregator::new(AggdConfig::default());
+        let mut ctx = ConnCtx::new();
+        let mut fb = FrameBuf::new();
+        for t in 0..TENANTS as u16 {
+            ingest_msg(&agg, &mut ctx, fb.bind_tenant(t, &format!("t{t}")));
+            ingest_msg(&agg, &mut ctx, fb.reg_series(t, 0, "s"));
+        }
+        for source in 0..100_000u64 {
+            let tid = (source % TENANTS) as u16;
+            ingest_msg(&agg, &mut ctx, fb.snapshot(tid, source, 0, 10, &[(0, 1)]));
+            ingest_msg(&agg, &mut ctx, fb.close_source(tid, source, 1, true));
+        }
+        let st = agg.stats();
+        assert_eq!(st.sources_closed, 100_000);
+        assert_eq!(st.applied(), 100_000);
+        assert!(
+            st.bytes_per_tenant < 64 * 1024,
+            "{} B per tenant",
+            st.bytes_per_tenant
+        );
+    }
+
     #[test]
     fn unknown_tenant_is_counted_not_panicked() {
         let agg = Aggregator::new(AggdConfig::default());

@@ -34,7 +34,8 @@ pub struct SnapshotPusher {
 impl SnapshotPusher {
     /// Connect to the daemon and register this session's series: one per
     /// obs counter (named `subsystem.counter`) plus one per latency
-    /// histogram.
+    /// histogram.  `source` must be new to the tenant: the daemon drops
+    /// every frame of a source id it has seen closed.
     pub fn connect(
         addr: impl ToSocketAddrs,
         tenant: &str,
@@ -80,8 +81,9 @@ impl SnapshotPusher {
     }
 
     /// Push everything that changed since the last push, stamped at
-    /// virtual time `cycles`.  Returns the number of frames sent (0 when
-    /// the session was idle).
+    /// virtual time `cycles`, and wait until the daemon has applied it.
+    /// Returns the number of frames sent (0 when the session was idle, in
+    /// which case nothing goes on the wire).
     pub fn push(&mut self, obs: &Obs, cycles: u64) -> io::Result<u64> {
         let mut sent = 0u64;
         self.scratch.clear();
@@ -122,6 +124,9 @@ impl SnapshotPusher {
                 self.seq += 1;
                 sent += 1;
             }
+        }
+        if sent > 0 {
+            self.client.flush()?;
         }
         Ok(sent)
     }
@@ -176,6 +181,23 @@ mod tests {
             .expect("hist series exists");
         assert_eq!(q.count, 1);
         assert_eq!(c.stats().unwrap().sources_closed, 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_push_is_applied_before_it_returns() {
+        let server =
+            AggdServer::bind("127.0.0.1:0", Aggregator::new(AggdConfig::default())).unwrap();
+        let obs = Obs::new();
+        let mut p = SnapshotPusher::connect(server.local_addr(), "live", 1).unwrap();
+        let mut c = AggdClient::connect(server.local_addr()).unwrap();
+        for (round, reads) in [(1u64, 5u64), (2, 3)] {
+            obs.add(Counter::Reads, reads);
+            assert_eq!(p.push(&obs, round * 1_000).unwrap(), 1);
+            // No finish yet: the push itself waited for the daemon.
+            let sum = c.query_series("live", "eventset.reads").unwrap();
+            assert_eq!(sum.map(|s| s.lifetime), Some(obs.get(Counter::Reads)));
+        }
         server.shutdown();
     }
 }

@@ -5,14 +5,18 @@
 //! table.  Messages are processed strictly in arrival order per
 //! connection, which is what makes [`AggdClient::flush`] an ordering
 //! barrier: once the flush acks, every frame written before it has been
-//! applied.  Receive buffers are reused across messages, so the
-//! steady-state per-frame server cost is one read and one aggregator
-//! apply — no allocation.
+//! applied.  Both ends buffer: the client collects fire-and-forget frames
+//! and writes them out in one `write` before any call that waits for a
+//! reply, and the daemon reads through an 8 KiB buffer, so a batch of
+//! frames costs one system call at each end rather than one or two per
+//! frame.  Receive buffers are reused across messages, so the
+//! steady-state per-frame server cost is a copy out of the read buffer
+//! and one aggregator apply — no allocation.
 
 use crate::aggregator::{Aggregator, ConnCtx};
 use crate::proto::{self, FrameBuf};
 use papi_obs::Counter;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -50,7 +54,9 @@ impl AggdServer {
                     let agg = Arc::clone(&agg);
                     let stop = Arc::clone(&stop);
                     let h = std::thread::spawn(move || serve_conn(stream, &agg, &stop));
-                    conns.lock().unwrap().push(h);
+                    let mut conns = conns.lock().unwrap();
+                    reap_finished(&mut conns);
+                    conns.push(h);
                 }
             })
         };
@@ -101,6 +107,19 @@ impl Drop for AggdServer {
     }
 }
 
+/// Join the connection threads that have returned, so the handle list
+/// holds live connections rather than every connection ever accepted.
+fn reap_finished(conns: &mut Vec<JoinHandle<()>>) {
+    let mut i = 0;
+    while i < conns.len() {
+        if conns[i].is_finished() {
+            let _ = conns.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
+    }
+}
+
 enum ReadStatus {
     /// Buffer filled completely.
     Done,
@@ -113,7 +132,7 @@ enum ReadStatus {
 /// timeouts (timeouts exist only to poll the stop flag — a mid-message
 /// timeout must never discard already-consumed bytes, or the stream
 /// mis-frames).
-fn read_full(stream: &mut TcpStream, buf: &mut [u8], stop: &AtomicBool) -> ReadStatus {
+fn read_full(stream: &mut impl Read, buf: &mut [u8], stop: &AtomicBool) -> ReadStatus {
     let mut filled = 0;
     while filled < buf.len() {
         match stream.read(&mut buf[filled..]) {
@@ -132,8 +151,9 @@ fn read_full(stream: &mut TcpStream, buf: &mut [u8], stop: &AtomicBool) -> ReadS
     ReadStatus::Done
 }
 
-fn serve_conn(mut stream: TcpStream, agg: &Aggregator, stop: &AtomicBool) {
+fn serve_conn(stream: TcpStream, agg: &Aggregator, stop: &AtomicBool) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
+    let mut stream = BufReader::new(stream);
     let mut ctx = ConnCtx::new();
     let mut payload: Vec<u8> = Vec::with_capacity(4096);
     let mut resp: Vec<u8> = Vec::with_capacity(4096);
@@ -161,7 +181,7 @@ fn serve_conn(mut stream: TcpStream, agg: &Aggregator, stop: &AtomicBool) {
             agg.serve_query(&payload, &mut resp);
             let len = (resp.len() - 4) as u32;
             resp[..4].copy_from_slice(&len.to_le_bytes());
-            if stream.write_all(&resp).is_err() {
+            if stream.get_mut().write_all(&resp).is_err() {
                 break;
             }
         } else {
@@ -173,7 +193,7 @@ fn serve_conn(mut stream: TcpStream, agg: &Aggregator, stop: &AtomicBool) {
                 resp.clear();
                 resp.extend_from_slice(&1u32.to_le_bytes());
                 resp.push(proto::STATUS_OK);
-                if stream.write_all(&resp).is_err() {
+                if stream.get_mut().write_all(&resp).is_err() {
                     break;
                 }
             }
@@ -187,8 +207,14 @@ fn bad_response() -> io::Error {
 
 /// Client side of the wire protocol: encodes with a reusable [`FrameBuf`]
 /// and reads length-prefixed responses.
+///
+/// Fire-and-forget frames (everything but [`AggdClient::flush`], the
+/// queries, [`AggdClient::scrape`] and the stats calls) collect in a
+/// write buffer.  The buffer goes out before every call that waits for a
+/// reply, and on drop; a write error on drop is lost, so call
+/// [`AggdClient::flush`] to see one.
 pub struct AggdClient {
-    stream: TcpStream,
+    stream: BufWriter<TcpStream>,
     fb: FrameBuf,
     resp: Vec<u8>,
 }
@@ -199,7 +225,7 @@ impl AggdClient {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
         Ok(AggdClient {
-            stream,
+            stream: BufWriter::new(stream),
             fb: FrameBuf::new(),
             resp: Vec::new(),
         })
@@ -207,14 +233,12 @@ impl AggdClient {
 
     /// Bind a connection-local tenant id.
     pub fn bind_tenant(&mut self, tid: u16, name: &str) -> io::Result<()> {
-        let msg = self.fb.bind_tenant(tid, name);
-        self.stream.write_all(msg)
+        self.stream.write_all(self.fb.bind_tenant(tid, name))
     }
 
     /// Bind a connection-local series id under a tenant.
     pub fn reg_series(&mut self, tid: u16, sid: u16, name: &str) -> io::Result<()> {
-        let msg = self.fb.reg_series(tid, sid, name);
-        self.stream.write_all(msg)
+        self.stream.write_all(self.fb.reg_series(tid, sid, name))
     }
 
     /// Send one counter-delta frame (fire-and-forget).
@@ -226,8 +250,8 @@ impl AggdClient {
         cycles: u64,
         deltas: &[(u16, u64)],
     ) -> io::Result<()> {
-        let msg = self.fb.snapshot(tid, source, seq, cycles, deltas);
-        self.stream.write_all(msg)
+        self.stream
+            .write_all(self.fb.snapshot(tid, source, seq, cycles, deltas))
     }
 
     /// Send one pre-encoded message verbatim (duplication/replay testing).
@@ -258,8 +282,8 @@ impl AggdClient {
         cycles: u64,
         buckets: &[(u16, u64)],
     ) -> io::Result<()> {
-        let msg = self.fb.hist(tid, sid, source, seq, cycles, buckets);
-        self.stream.write_all(msg)
+        self.stream
+            .write_all(self.fb.hist(tid, sid, source, seq, cycles, buckets))
     }
 
     /// Declare a source stream finished.
@@ -270,19 +294,21 @@ impl AggdClient {
         frames_sent: u64,
         complete: bool,
     ) -> io::Result<()> {
-        let msg = self.fb.close_source(tid, source, frames_sent, complete);
-        self.stream.write_all(msg)
+        self.stream
+            .write_all(self.fb.close_source(tid, source, frames_sent, complete))
     }
 
-    /// Read one length-prefixed response.  The buffer grows only as bytes
-    /// arrive, so a bogus length prefix costs at most what the daemon
-    /// actually sends.
+    /// Write out the buffered frames, then read one length-prefixed
+    /// response.  The response buffer grows only as bytes arrive, so a
+    /// bogus length prefix costs at most what the daemon actually sends.
     fn request(&mut self) -> io::Result<&[u8]> {
+        self.stream.flush()?;
+        let stream = self.stream.get_mut();
         let mut header = [0u8; 4];
-        self.stream.read_exact(&mut header)?;
+        stream.read_exact(&mut header)?;
         let len = u32::from_le_bytes(header) as u64;
         self.resp.clear();
-        (&mut self.stream).take(len).read_to_end(&mut self.resp)?;
+        stream.take(len).read_to_end(&mut self.resp)?;
         if self.resp.len() as u64 != len {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
@@ -292,10 +318,10 @@ impl AggdClient {
         Ok(&self.resp)
     }
 
-    /// Barrier: returns once every frame written before it is applied.
+    /// Barrier: writes out the buffered frames and returns once every
+    /// frame sent before it is applied.
     pub fn flush(&mut self) -> io::Result<()> {
-        let msg = self.fb.flush().to_vec();
-        self.stream.write_all(&msg)?;
+        self.stream.write_all(self.fb.flush())?;
         let resp = self.request()?;
         if resp.first() == Some(&proto::STATUS_OK) {
             Ok(())
@@ -310,11 +336,8 @@ impl AggdClient {
         tenant: &str,
         series: &str,
     ) -> io::Result<Option<crate::SeriesSum>> {
-        let msg = self
-            .fb
-            .query(proto::OP_QUERY_SERIES, tenant, series)
-            .to_vec();
-        self.stream.write_all(&msg)?;
+        self.stream
+            .write_all(self.fb.query(proto::OP_QUERY_SERIES, tenant, series))?;
         let resp = self.request()?;
         match resp.first() {
             Some(&proto::STATUS_OK) => {
@@ -350,11 +373,8 @@ impl AggdClient {
         tenant: &str,
         series: &str,
     ) -> io::Result<Option<crate::SeriesQuantiles>> {
-        let msg = self
-            .fb
-            .query(proto::OP_QUERY_QUANTILES, tenant, series)
-            .to_vec();
-        self.stream.write_all(&msg)?;
+        self.stream
+            .write_all(self.fb.query(proto::OP_QUERY_QUANTILES, tenant, series))?;
         let resp = self.request()?;
         match resp.first() {
             Some(&proto::STATUS_OK) if resp.len() >= 49 => {
@@ -375,8 +395,7 @@ impl AggdClient {
     }
 
     fn text_request(&mut self, op: u8) -> io::Result<String> {
-        let msg = self.fb.bare(op).to_vec();
-        self.stream.write_all(&msg)?;
+        self.stream.write_all(self.fb.bare(op))?;
         let resp = self.request()?;
         if resp.first() != Some(&proto::STATUS_OK) {
             return Err(bad_response());
@@ -462,6 +481,46 @@ mod tests {
         b.flush().unwrap();
         let sum = a.query_series("t", "s").unwrap().unwrap();
         assert_eq!(sum.lifetime, 12);
+        server.shutdown();
+    }
+
+    /// Frames still in the write buffer when a client is dropped are
+    /// written out by the drop, and the daemon applies them.
+    #[test]
+    fn dropping_a_client_sends_its_buffered_frames() {
+        let server =
+            AggdServer::bind("127.0.0.1:0", Aggregator::new(AggdConfig::default())).expect("bind");
+        let mut c = AggdClient::connect(server.local_addr()).unwrap();
+        c.bind_tenant(0, "t").unwrap();
+        c.reg_series(0, 0, "s").unwrap();
+        for seq in 0..10u64 {
+            c.snapshot(0, 1, seq, seq * 100, &[(0, 3)]).unwrap();
+        }
+        drop(c);
+        let mut q = AggdClient::connect(server.local_addr()).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while q.stats().unwrap().frames_in < 10 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "buffered frames never arrived"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(q.query_series("t", "s").unwrap().unwrap().lifetime, 30);
+        server.shutdown();
+    }
+
+    /// Connection threads that have returned are joined on the next
+    /// accept, so the handle list stays at the live connections.
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        let server =
+            AggdServer::bind("127.0.0.1:0", Aggregator::new(AggdConfig::default())).expect("bind");
+        for _ in 0..1_000 {
+            drop(TcpStream::connect(server.local_addr()).unwrap());
+        }
+        let held = server.conns.lock().unwrap().len();
+        assert!(held < 100, "{held} connection handles held");
         server.shutdown();
     }
 

@@ -10,6 +10,12 @@
 //! deltas commute, so out-of-order application is exact, and "applied
 //! count == claimed frame count" at close time proves the stream arrived
 //! gaplessly exactly once.
+//!
+//! `CLOSE_SOURCE` retires the source: its window leaves the map of open
+//! sources and its id becomes one bit in a set of 64-id bitmap blocks, so
+//! a daemon that serves session after session keeps a bit per closed
+//! session, not a window.  A frame for a retired id is dropped as a
+//! duplicate, and a repeated close of one changes nothing.
 
 use crate::bucket::{SeriesRing, WindowOutcome};
 use papi_obs::histogram::NUM_BUCKETS;
@@ -47,8 +53,6 @@ struct SourceState {
     applied: u64,
     /// Frames admitted (seq consumed) but shed by quota.
     shed: u64,
-    /// Whether the source declared itself closed.
-    closed: bool,
 }
 
 impl SourceState {
@@ -82,6 +86,27 @@ impl SourceState {
         self.bitmap |= bit;
         self.applied += 1;
         Some(IngestOutcome::OutOfOrder)
+    }
+}
+
+/// Ids of closed sources, as 64-id bitmap blocks keyed by `id / 64`.
+#[derive(Debug, Default)]
+struct RetiredIds(HashMap<u64, u64>);
+
+impl RetiredIds {
+    fn contains(&self, id: u64) -> bool {
+        self.0
+            .get(&(id >> 6))
+            .is_some_and(|block| block & (1 << (id & 63)) != 0)
+    }
+
+    /// Retire `id`; `false` when it already was.
+    fn insert(&mut self, id: u64) -> bool {
+        let block = self.0.entry(id >> 6).or_insert(0);
+        let bit = 1 << (id & 63);
+        let fresh = *block & bit == 0;
+        *block |= bit;
+        fresh
     }
 }
 
@@ -131,8 +156,24 @@ impl QuotaRing {
 struct TenantState {
     series: Vec<Series>,
     names: HashMap<String, u16>,
+    /// Open sources only: a closed one moves to `retired`.
     sources: HashMap<u64, SourceState>,
+    retired: RetiredIds,
     quota: QuotaRing,
+}
+
+impl TenantState {
+    /// Admit `seq` from `source` exactly once: `None` for a duplicate or a
+    /// frame from a retired source.
+    fn admit(&mut self, source: u64, seq: u64) -> Option<IngestOutcome> {
+        if let Some(src) = self.sources.get_mut(&source) {
+            return src.admit(seq);
+        }
+        if self.retired.contains(source) {
+            return None;
+        }
+        self.sources.entry(source).or_default().admit(seq)
+    }
 }
 
 /// Per-tenant ingest statistics (mirrored into the daemon's global
@@ -184,6 +225,7 @@ impl Tenant {
                 series: Vec::new(),
                 names: HashMap::new(),
                 sources: HashMap::new(),
+                retired: RetiredIds::default(),
                 quota: QuotaRing::new(window_cycles, windows),
             }),
             stats: Mutex::new(TenantStats::default()),
@@ -217,7 +259,8 @@ impl Tenant {
 
     /// Ingest one snapshot frame. `map` translates connection-local series
     /// ids to tenant series indices (identity when the caller already holds
-    /// tenant indices). Zero heap allocations once the source exists.
+    /// tenant indices). Zero heap allocations once the source exists; a
+    /// frame from a retired source is a [`IngestOutcome::DupDropped`].
     pub fn ingest_snapshot(
         &self,
         obs: &Obs,
@@ -233,7 +276,7 @@ impl Tenant {
             ..TenantStats::default()
         };
         obs.inc(Counter::AggdFramesIn);
-        let outcome = match st.sources.entry(source).or_default().admit(seq) {
+        let outcome = match st.admit(source, seq) {
             None => {
                 stats.dup_dropped = 1;
                 obs.inc(Counter::AggdDupDropped);
@@ -311,7 +354,7 @@ impl Tenant {
             ..TenantStats::default()
         };
         obs.inc(Counter::AggdFramesIn);
-        let outcome = match st.sources.entry(source).or_default().admit(seq) {
+        let outcome = match st.admit(source, seq) {
             None => {
                 stats.dup_dropped = 1;
                 obs.inc(Counter::AggdDupDropped);
@@ -355,12 +398,16 @@ impl Tenant {
         outcome
     }
 
-    /// Close a source stream: `true` when every claimed frame was applied
-    /// (gapless, exactly once).  A shortfall is reported, not hidden.
+    /// Close a source stream and retire its id: `true` when every claimed
+    /// frame was applied (gapless, exactly once).  A shortfall is
+    /// reported, not hidden.  Closing a retired id again changes and
+    /// counts nothing, and returns `false`.
     pub fn close_source(&self, obs: &Obs, source: u64, frames_sent: u64, complete: bool) -> bool {
         let mut st = self.state.lock().unwrap();
-        let src = st.sources.entry(source).or_default();
-        src.closed = true;
+        if !st.retired.insert(source) {
+            return false;
+        }
+        let src = st.sources.remove(&source).unwrap_or_default();
         let clean = complete && src.applied + src.shed >= frames_sent;
         if clean {
             obs.inc(Counter::AggdSourcesClosed);
@@ -416,7 +463,7 @@ impl Tenant {
         self.state.lock().unwrap().series.len()
     }
 
-    /// Number of source streams seen.
+    /// Number of open source streams (closed ones are retired).
     pub fn source_count(&self) -> usize {
         self.state.lock().unwrap().sources.len()
     }
@@ -436,7 +483,8 @@ impl Tenant {
             .sum();
         let sources = st.sources.len()
             * (std::mem::size_of::<u64>() + std::mem::size_of::<SourceState>() + 16);
-        std::mem::size_of::<Self>() + series + sources + st.quota.slots.len() * 12
+        let retired = st.retired.0.len() * (2 * std::mem::size_of::<u64>() + 16);
+        std::mem::size_of::<Self>() + series + sources + retired + st.quota.slots.len() * 12
     }
 }
 
@@ -564,5 +612,66 @@ mod tests {
         assert_eq!(o.get(Counter::AggdSourcesIncomplete), 1);
         // An explicitly incomplete close is reported as such.
         assert!(!t.close_source(&o, 5, 0, false));
+    }
+
+    #[test]
+    fn frames_after_close_are_dropped_as_duplicates() {
+        let t = tenant();
+        let o = obs();
+        let sid = t.register_series("s", 1000, 8);
+        let map = [sid];
+        for seq in 0..4 {
+            t.ingest_snapshot(&o, 3, seq, 10, [(0u16, 1u64)].into_iter(), &map);
+        }
+        assert!(t.close_source(&o, 3, 4, true));
+        assert_eq!(t.source_count(), 0, "the closed source is retired");
+        // A replay of an applied seq and a seq never sent: both too late.
+        for seq in [0, 4] {
+            let out = t.ingest_snapshot(&o, 3, seq, 10, [(0u16, 1u64)].into_iter(), &map);
+            assert_eq!(out, IngestOutcome::DupDropped);
+        }
+        let out = t.ingest_hist(&o, 3, 5, 10, 0, [(3u16, 1u64)].into_iter(), &map);
+        assert_eq!(out, IngestOutcome::DupDropped);
+        assert_eq!(t.with_series("s", |r, _| r.lifetime_total()), Some(4));
+        let st = t.stats();
+        assert_eq!((st.frames_in, st.applied, st.dup_dropped), (7, 4, 3));
+        assert!(st.accounted());
+        assert_eq!(o.get(Counter::AggdDupDropped), 3);
+    }
+
+    #[test]
+    fn a_repeated_close_is_counted_once() {
+        let t = tenant();
+        let o = obs();
+        let map = [t.register_series("s", 1000, 8)];
+        t.ingest_snapshot(&o, 3, 0, 10, [(0u16, 1u64)].into_iter(), &map);
+        assert!(t.close_source(&o, 3, 1, true));
+        assert!(!t.close_source(&o, 3, 1, true));
+        assert!(!t.close_source(&o, 3, 9, false));
+        assert!(!t.close_source(&o, 4, 0, false));
+        assert!(!t.close_source(&o, 4, 0, false));
+        assert_eq!(o.get(Counter::AggdSourcesClosed), 1);
+        assert_eq!(o.get(Counter::AggdSourcesIncomplete), 1);
+    }
+
+    #[test]
+    fn unseen_ids_beside_retired_ones_are_admitted() {
+        let t = tenant();
+        let o = obs();
+        let map = [t.register_series("s", 1000, 8)];
+        let frame = |source| t.ingest_snapshot(&o, source, 1, 10, [(0u16, 1u64)].into_iter(), &map);
+        // Ids 62, 63 | 64, 66: two bitmap blocks, with gaps at 65 and 67.
+        for source in [62, 63, 64, 66] {
+            assert!(t.close_source(&o, source, 0, true));
+        }
+        for source in [62, 63, 64, 66] {
+            assert_eq!(frame(source), IngestOutcome::DupDropped, "source {source}");
+        }
+        for source in [61, 65, 67, 128] {
+            assert_eq!(frame(source), IngestOutcome::Applied, "source {source}");
+        }
+        assert_eq!(t.source_count(), 4);
+        assert_eq!(t.with_series("s", |r, _| r.lifetime_total()), Some(4));
+        assert!(t.stats().accounted());
     }
 }

@@ -321,6 +321,38 @@ fn aggd_frame_ingest_is_allocation_free_in_steady_state() {
 }
 
 #[test]
+fn aggd_client_send_and_flush_are_allocation_free_in_steady_state() {
+    // The client side of the wire: frames are copied into the connection's
+    // write buffer and a FLUSH writes it out and reads the ack into a
+    // reused response buffer. The daemon's threads allocate on their own
+    // counters; this thread's must not move.
+    use papi_aggd::{AggdClient, AggdConfig, AggdServer, Aggregator, FrameBuf};
+
+    let server = AggdServer::bind("127.0.0.1:0", Aggregator::new(AggdConfig::default())).unwrap();
+    let mut c = AggdClient::connect(server.local_addr()).unwrap();
+    c.bind_tenant(0, "zero-alloc").unwrap();
+    c.reg_series(0, 0, "s0").unwrap();
+    let mut fb = FrameBuf::new();
+    let frames: Vec<Vec<u8>> = (0..128u64)
+        .map(|seq| fb.snapshot(0, 1, seq, seq * 300, &[(0, 3)]).to_vec())
+        .collect();
+    for msg in &frames[..64] {
+        c.send_raw(msg).unwrap();
+    }
+    c.flush().unwrap();
+    let ((), allocs) = count_in(|| {
+        for msg in &frames[64..] {
+            c.send_raw(msg).unwrap();
+        }
+        c.flush().unwrap();
+    });
+    assert_eq!(allocs, 0, "aggd client send_raw + flush allocated");
+    let sum = c.query_series("zero-alloc", "s0").unwrap().expect("series");
+    assert_eq!(sum.lifetime, 3 * 128);
+    server.shutdown();
+}
+
+#[test]
 fn read_into_and_accum_stay_allocation_free_while_widening_wrapped_counters() {
     // Narrow (32-bit) wrapped counters engage the widening layer. Its
     // baseline/accumulator buffers are sized at start, so steady-state

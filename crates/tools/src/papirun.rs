@@ -12,6 +12,8 @@ use papi_core::{Papi, PapiError, Result, SimSubstrate, Substrate};
 use papi_workloads::Workload;
 use simcpu::{Machine, PlatformSpec};
 use std::fmt::Write as _;
+use std::hash::{DefaultHasher, Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Knobs for [`papirun_with`].
 #[derive(Debug, Clone, Default)]
@@ -26,7 +28,8 @@ pub struct RunOptions {
     /// Stream live internal-stats snapshots to a papi-aggd daemon at this
     /// address while the app runs (implies capturing obs state).  The
     /// session registers under tenant [`RunOptions::push_tenant`] with a
-    /// source id derived from the seed.
+    /// source id of its own, so repeated runs against one daemon never
+    /// replay each other's ids.
     pub push_aggd: Option<String>,
     /// Tenant name for `--push-aggd` (empty means `"papirun"`).
     pub push_tenant: String,
@@ -199,8 +202,9 @@ fn run_loaded<S: Substrate>(
             &opts.push_tenant
         };
         let io_err = |e: std::io::Error| PapiError::Substrate(format!("push-aggd: {e}"));
+        let source = push_source_id(opts.seed);
         let mut pusher =
-            papi_aggd::SnapshotPusher::connect(addr.as_str(), tenant, opts.seed).map_err(io_err)?;
+            papi_aggd::SnapshotPusher::connect(addr.as_str(), tenant, source).map_err(io_err)?;
         let live = obs.as_ref().expect("push-aggd implies obs");
         loop {
             let exit = papi.run_for(50_000)?;
@@ -236,6 +240,19 @@ fn run_loaded<S: Substrate>(
             None
         },
     })
+}
+
+/// The aggd source id of one `--push-aggd` run: a hash of the seed, the
+/// process id and the number of runs this process started before it.  A
+/// daemon drops every frame of a source id it has already seen closed, so
+/// runs with the same seed, in one process or in several, need ids of
+/// their own.
+fn push_source_id(seed: u64) -> u64 {
+    static RUNS: AtomicU64 = AtomicU64::new(0);
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+    let mut h = DefaultHasher::new();
+    (seed, std::process::id(), run).hash(&mut h);
+    h.finish()
 }
 
 #[cfg(test)]
@@ -383,6 +400,31 @@ mod tests {
         let stats = c.stats().unwrap();
         assert_eq!(stats.sources_closed, 1);
         assert_eq!(stats.sources_incomplete, 0);
+        server.shutdown();
+    }
+
+    #[test]
+    fn repeated_push_aggd_runs_each_land() {
+        use papi_aggd::{AggdClient, AggdConfig, AggdServer, Aggregator};
+        let server =
+            AggdServer::bind("127.0.0.1:0", Aggregator::new(AggdConfig::default())).unwrap();
+        let opts = RunOptions {
+            seed: 9,
+            push_aggd: Some(server.local_addr().to_string()),
+            ..RunOptions::default()
+        };
+        let mut c = AggdClient::connect(server.local_addr()).unwrap();
+        let mut lifetimes = Vec::new();
+        for _ in 0..2 {
+            papirun_with(&sim_x86(), &matmul(10), &["PAPI_TOT_INS"], &opts).unwrap();
+            let sum = c.query_series("papirun", "eventset.counter_reads").unwrap();
+            lifetimes.push(sum.expect("eventset.counter_reads series").lifetime);
+        }
+        assert!(lifetimes[0] > 0);
+        assert_eq!(lifetimes[1], 2 * lifetimes[0], "the second run lands too");
+        let stats = c.stats().unwrap();
+        assert_eq!(stats.sources_closed, 2);
+        assert_eq!(stats.dup_dropped, 0);
         server.shutdown();
     }
 
