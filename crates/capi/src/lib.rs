@@ -67,7 +67,7 @@ static SESSION: Mutex<Option<Papi<BoxSubstrate>>> = Mutex::new(None);
 
 // Thread support, mirroring `PAPI_thread_init`/`PAPI_register_thread`:
 // the platform name selected at init (new registered threads get their own
-// substrate of the same platform), the sharded per-thread session table,
+// substrate of the same platform), the per-thread session table,
 // and the user-supplied thread-id function.
 //
 // The POOL mutex guards only this *handle slot* (swapped on init/shutdown).

@@ -20,7 +20,7 @@ use simcpu::{Domain, ThreadId};
 ///
 /// Ids are *session-local*: two sessions can both hand out id 0. The
 /// thread layer wraps them in [`crate::threads::TaggedSetId`], which adds
-/// the owning shard/slot so a cross-thread lookup is rejected instead of
+/// the owning slot so a cross-thread lookup is rejected instead of
 /// silently resolving to the wrong thread's set.
 pub type EventSetId = usize;
 

@@ -98,4 +98,4 @@ pub use registry::{Provenance, SubstrateFactory, SubstrateInfo, SubstrateRegistr
 pub use seqlock::{CountSnapshot, PublishedCounts, SeqCell, MAX_PUBLISHED_EVENTS};
 pub use session::{Papi, DEFAULT_TRANSIENT_RETRY_BUDGET};
 pub use substrate::{BoxSubstrate, HwInfo, SimSubstrate, Substrate};
-pub use threads::{PapiThread, TaggedSetId, ThreadedPapi, NUM_SHARDS};
+pub use threads::{PapiThread, TaggedSetId, ThreadedPapi};

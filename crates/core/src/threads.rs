@@ -1,4 +1,4 @@
-//! Thread-scalable counting: a read-mostly session table with per-thread
+//! Thread-scalable counting: a flat session table with per-thread
 //! EventSets and a lock-free steady-state read path.
 //!
 //! The paper's low-level interface is explicitly built for threaded
@@ -8,16 +8,17 @@
 //! module is that model's portable-layer half:
 //!
 //! * [`ThreadedPapi`] is the shareable library handle (`Arc<ThreadedPapi>`
-//!   is usable from N threads). It publishes an RCU-style slot table:
-//!   readers follow one atomic pointer load to the current table, while
-//!   register/unregister clone-and-publish a replacement under a cold-path
-//!   mutex. No lock is ever taken to *find* a session.
+//!   is usable from N threads). Its session table is flat and append-only:
+//!   a cell, once created, never moves or leaves it, so readers index it
+//!   with no lock. Unregistering vacates a cell for the next registration,
+//!   so the table grows with the peak number of threads registered at
+//!   once, not with churn. No lock is ever taken to *find* a session.
 //! * [`ThreadedPapi::register_thread`] mirrors `PAPI_register_thread`:
 //!   the calling OS thread receives a [`PapiThread`] token wrapping a
 //!   complete private [`Papi`] session — its **own substrate context** —
 //!   so two threads' counts cannot bleed by construction.
 //! * EventSet ids handed out through a token are [`TaggedSetId`]s carrying
-//!   the owning `(shard, slot)` tag; using another thread's id is detected
+//!   the owning slot; using another thread's id is detected
 //!   arithmetically and rejected with [`PapiError::Inval`] (counted as
 //!   `threads.cross_thread_denied` when observability is attached), never
 //!   a panic or a silent read of foreign counters.
@@ -54,63 +55,47 @@ use crate::registry::SubstrateRegistry;
 use crate::seqlock::{CountSnapshot, PublishedCounts, SeqCell};
 use crate::session::Papi;
 use crate::substrate::{BoxSubstrate, Substrate};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::ThreadId as OsThreadId;
 
-/// Number of shards in the session table. Fixed so shard indices fit the
-/// [`TaggedSetId`] tag and lookups are a mask away.
-pub const NUM_SHARDS: usize = 16;
+/// Both halves of a [`TaggedSetId`] are 32-bit fields.
+const FIELD_BITS: u32 = 32;
+const FIELD_MASK: u64 = (1 << FIELD_BITS) - 1;
 
-const LOCAL_BITS: u32 = 32;
-const SLOT_BITS: u32 = 24;
-const SHARD_SHIFT: u32 = LOCAL_BITS + SLOT_BITS;
-const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
-const LOCAL_MASK: u64 = (1 << LOCAL_BITS) - 1;
-
-/// A thread-tagged EventSet id: `shard (8 bits) | slot (24 bits) |
-/// session-local id (32 bits)`.
+/// A thread-tagged EventSet id: `slot (32 bits) | session-local id
+/// (32 bits)`.
 ///
-/// The tag routes the id to the one shard slot whose session owns it, and
+/// The tag names the session-table slot whose session owns the id, and
 /// lets any API entry point prove cheaply that an id belongs to the
 /// calling thread's session before touching counter state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TaggedSetId(u64);
 
 impl TaggedSetId {
-    /// Pack a `(shard, slot, local)` triple into a tagged id.
+    /// Pack a `(slot, local)` pair into a tagged id.
     ///
-    /// Panics if a component exceeds its field width (shards are bounded
-    /// by [`NUM_SHARDS`]; 2^24 registrations per shard and 2^32 sets per
-    /// session are far beyond any real session table).
-    pub fn new(shard: usize, slot: usize, local: EventSetId) -> Self {
-        assert!(shard < NUM_SHARDS, "shard {shard} out of range");
-        assert!((slot as u64) <= SLOT_MASK, "slot {slot} out of range");
+    /// Panics if a component exceeds its 32-bit field (2^32 threads
+    /// registered at once and 2^32 sets per session are far beyond any
+    /// real session table).
+    pub fn new(slot: usize, local: EventSetId) -> Self {
+        assert!((slot as u64) <= FIELD_MASK, "slot {slot} out of range");
         assert!(
-            (local as u64) <= LOCAL_MASK,
+            (local as u64) <= FIELD_MASK,
             "local id {local} out of range"
         );
-        TaggedSetId(
-            ((shard as u64) << SHARD_SHIFT) | ((slot as u64) << LOCAL_BITS) | (local as u64),
-        )
-    }
-
-    /// Shard component of the tag.
-    pub fn shard(self) -> usize {
-        (self.0 >> SHARD_SHIFT) as usize
+        TaggedSetId(((slot as u64) << FIELD_BITS) | (local as u64))
     }
 
     /// Slot component of the tag.
     pub fn slot(self) -> usize {
-        ((self.0 >> LOCAL_BITS) & SLOT_MASK) as usize
+        (self.0 >> FIELD_BITS) as usize
     }
 
     /// Session-local [`EventSetId`].
     pub fn local(self) -> EventSetId {
-        (self.0 & LOCAL_MASK) as EventSetId
+        (self.0 & FIELD_MASK) as EventSetId
     }
 
     /// Raw packed representation (e.g. for FFI transport).
@@ -124,93 +109,100 @@ impl TaggedSetId {
     }
 }
 
-/// One registered thread's session cell.
+/// One slot's session cell. It is created vacant with its table segment
+/// and never moves or leaves the table: unregistration vacates it in
+/// place, and a later registration reuses it.
 ///
-/// `session` holds the private [`Papi`] behind a [`SeqCell`]: exclusive
-/// access is one uncontended compare-exchange for the owning token (and a
-/// spin for the rare cross-thread inspector). `Option` so unregistration
-/// can move the session out while stale RCU tables still reference the
-/// cell shell — a vacated cell answers [`PapiError::NoEvst`], never
-/// dangles.
+/// `session` holds the occupant's private [`Papi`] behind a [`SeqCell`]:
+/// exclusive access is one uncontended compare-exchange for the owning
+/// token (and a spin for the rare cross-thread inspector). It is `None`
+/// while the cell is vacant, and `vacant` says so to observers that never
+/// take the session stamp — a vacant cell answers [`PapiError::NoEvst`].
 ///
 /// `published` is the seqlock snapshot area observers read without ever
 /// touching the exclusive word; `generation` stamps which programming
-/// epoch the published values belong to.
+/// epoch the published values belong to. It carries over from one
+/// occupant to the next, so a slot never repeats a generation.
 struct ThreadCell<S: Substrate + Send> {
     session: SeqCell<Option<Papi<S>>>,
+    /// Stored (`Release`) after each change of occupant and loaded
+    /// (`Acquire`) by observers, so one that finds the cell occupied also
+    /// sees the publication area as its occupant received it.
+    vacant: AtomicBool,
     published: PublishedCounts,
     generation: AtomicU64,
 }
 
-/// The RCU-published slot table: registration traffic replaces the whole
-/// table (clone-and-publish), readers follow one atomic pointer. Shards
-/// exist for the [`TaggedSetId`] tag space, not for locking — the table
-/// has no locks at all.
+/// Segment `k` of the table: `2^k` cells, created together when the
+/// first of their slots is handed out.
+type Segment<S> = OnceLock<Box<[Arc<ThreadCell<S>>]>>;
+
+/// The flat, append-only session table: slot `i` is entry `i + 1 - 2^k`
+/// of segment `k = ilog2(i + 1)`, and 32 segments cover every slot tag
+/// but the last. Segments and cells are only ever added, under the
+/// registration lock, and never move, so lock-free readers index the
+/// table directly.
 struct SlotTable<S: Substrate + Send> {
-    shards: [Vec<Option<Arc<ThreadCell<S>>>>; NUM_SHARDS],
+    segments: [Segment<S>; FIELD_BITS as usize],
 }
 
 impl<S: Substrate + Send> SlotTable<S> {
-    fn empty() -> Self {
-        SlotTable {
-            shards: std::array::from_fn(|_| Vec::new()),
-        }
+    /// `(segment, index)` of `slot`.
+    fn locate(slot: usize) -> (usize, usize) {
+        let k = (slot as u64 + 1).ilog2();
+        (k as usize, (slot as u64 + 1 - (1 << k)) as usize)
     }
 
-    /// A structural clone (the `Arc` slot entries are refcount bumps).
-    fn clone_shards(&self) -> Self {
-        SlotTable {
-            shards: std::array::from_fn(|i| self.shards[i].clone()),
-        }
+    /// The cell at `slot`, if the table ever created it.
+    fn cell(&self, slot: usize) -> Option<&Arc<ThreadCell<S>>> {
+        let (k, i) = Self::locate(slot);
+        self.segments.get(k)?.get()?.get(i)
     }
 
-    fn cell(&self, shard: usize, slot: usize) -> Option<&Arc<ThreadCell<S>>> {
-        self.shards.get(shard)?.get(slot)?.as_ref()
+    /// The cell at `slot`, creating its segment on first use. Only the
+    /// holder of the registration lock calls this.
+    fn cell_or_insert(&self, slot: usize) -> &Arc<ThreadCell<S>> {
+        let (k, i) = Self::locate(slot);
+        let vacant = || {
+            Arc::new(ThreadCell {
+                session: SeqCell::new(None),
+                vacant: AtomicBool::new(true),
+                published: PublishedCounts::default(),
+                generation: AtomicU64::new(0),
+            })
+        };
+        &self.segments[k].get_or_init(|| (0..1usize << k).map(|_| vacant()).collect())[i]
     }
+}
+
+/// Registration bookkeeping, guarded by [`ThreadedPapi`]'s `reg` mutex.
+/// Every slot the table has created is either occupied or free.
+#[derive(Default)]
+struct Registrations {
+    /// Registered OS threads.
+    threads: HashSet<OsThreadId>,
+    /// Vacated slots, handed out again before the table grows.
+    free: Vec<usize>,
 }
 
 type SessionFactory<S> = Box<dyn Fn(u64) -> Result<Papi<S>> + Send + Sync>;
 
-/// The thread-shareable library handle: an RCU-published table of
-/// per-thread [`Papi`] sessions plus the factory that builds each
-/// registered thread's private substrate context.
+/// The thread-shareable library handle: a flat table of per-thread
+/// [`Papi`] sessions plus the factory that builds each registered thread's
+/// private substrate context.
 ///
 /// `ThreadedPapi` is `Send + Sync`; wrap it in an `Arc` and clone the
 /// handle into every thread that should count.
 pub struct ThreadedPapi<S: Substrate + Send = BoxSubstrate> {
-    /// The current slot table. Readers load this pointer (Acquire) and
-    /// index it; writers swap in a freshly built table under `reg`.
-    ///
-    /// Safety invariant: every pointer ever stored here remains valid for
-    /// the lifetime of `self` — superseded tables move to `retired`
-    /// instead of being freed, so a reader holding `&self` can never
-    /// observe a dangling table (the RCU grace period is the handle's
-    /// lifetime; registration is cold and tables are small).
-    table: AtomicPtr<SlotTable<S>>,
-    /// Superseded tables, kept alive until drop (see `table`). The `Box`
-    /// is load-bearing, not indirection for its own sake: lock-free
-    /// readers may still hold references into a superseded table, so it
-    /// must keep the exact heap address the `AtomicPtr` once pointed at —
-    /// a `Vec<SlotTable>` would relocate it on push.
-    #[allow(clippy::vec_box)]
-    retired: Mutex<Vec<Box<SlotTable<S>>>>,
-    /// Registration state and the writer lock for `table`: OS-thread →
-    /// (shard, slot) of its registered session. Cold-path only — never on
+    /// The session table. Readers index it without a lock; only the
+    /// holder of `reg` adds cells or changes who occupies one.
+    table: SlotTable<S>,
+    /// Registered OS threads and free slots. Cold-path only — never on
     /// the counting or snapshot hot paths.
-    reg: Mutex<HashMap<OsThreadId, (usize, usize)>>,
+    reg: Mutex<Registrations>,
     factory: SessionFactory<S>,
     next_seed: AtomicU64,
     obs: Option<papi_obs::ObsHandle>,
-}
-
-impl<S: Substrate + Send> Drop for ThreadedPapi<S> {
-    fn drop(&mut self) {
-        // SAFETY: `&mut self` proves no readers remain; the published
-        // table was allocated by Box::into_raw in `publish_table`/`new`.
-        let cur = self.table.load(Ordering::Acquire);
-        drop(unsafe { Box::from_raw(cur) });
-        // `retired` drops its boxes normally.
-    }
 }
 
 impl<S: Substrate + Send> ThreadedPapi<S> {
@@ -222,9 +214,10 @@ impl<S: Substrate + Send> ThreadedPapi<S> {
         factory: impl Fn(u64) -> Result<Papi<S>> + Send + Sync + 'static,
     ) -> Self {
         ThreadedPapi {
-            table: AtomicPtr::new(Box::into_raw(Box::new(SlotTable::empty()))),
-            retired: Mutex::new(Vec::new()),
-            reg: Mutex::new(HashMap::new()),
+            table: SlotTable {
+                segments: std::array::from_fn(|_| OnceLock::new()),
+            },
+            reg: Mutex::new(Registrations::default()),
             factory: Box::new(factory),
             next_seed: AtomicU64::new(base_seed),
             obs: None,
@@ -243,46 +236,22 @@ impl<S: Substrate + Send> ThreadedPapi<S> {
         self.obs.as_ref()
     }
 
+    /// The registration bookkeeping.
+    fn registrations(&self) -> std::sync::MutexGuard<'_, Registrations> {
+        self.reg
+            .lock()
+            .expect("a registration panicked while holding the lock")
+    }
+
     /// Number of currently registered threads.
     pub fn registered_threads(&self) -> usize {
-        self.reg.lock().unwrap().len()
+        self.registrations().threads.len()
     }
 
     /// Whether the calling OS thread is currently registered.
     pub fn is_registered(&self) -> bool {
-        self.reg
-            .lock()
-            .unwrap()
-            .contains_key(&std::thread::current().id())
-    }
-
-    /// The currently published slot table.
-    #[inline]
-    fn current(&self) -> &SlotTable<S> {
-        // SAFETY: pointers published to `table` stay alive until `self`
-        // drops (superseded tables are retired, not freed), and the
-        // returned borrow is tied to `&self`.
-        unsafe { &*self.table.load(Ordering::Acquire) }
-    }
-
-    /// Swap `new` in as the published table; the superseded table is
-    /// retired (kept alive) so in-flight readers stay valid. Callers must
-    /// hold the `reg` lock — it is the writer lock for the table.
-    fn publish_table(&self, new: SlotTable<S>) {
-        let fresh = Box::into_raw(Box::new(new));
-        let old = self.table.swap(fresh, Ordering::AcqRel);
-        // SAFETY: `old` came from Box::into_raw and is no longer
-        // published; boxing it into `retired` defers the free to drop.
-        self.retired
-            .lock()
-            .unwrap()
-            .push(unsafe { Box::from_raw(old) });
-    }
-
-    fn shard_of(tid: OsThreadId) -> usize {
-        let mut h = DefaultHasher::new();
-        tid.hash(&mut h);
-        (h.finish() as usize) % NUM_SHARDS
+        let tid = std::thread::current().id();
+        self.registrations().threads.contains(&tid)
     }
 
     /// `PAPI_register_thread`: give the calling OS thread its own private
@@ -301,58 +270,42 @@ impl<S: Substrate + Send> ThreadedPapi<S> {
     /// [`PapiError::Cnflct`] without building a session.
     pub fn register_thread_seeded(self: &Arc<Self>, seed: u64) -> Result<PapiThread<S>> {
         let tid = std::thread::current().id();
-        // Hold the registration map for the whole (cold) registration so
-        // check-then-insert is atomic; it doubles as the table writer
-        // lock.
-        let mut map = self.reg.lock().unwrap();
-        if map.contains_key(&tid) {
+        if self.is_registered() {
             return Err(PapiError::Cnflct);
         }
+        // Build the session without the registration lock: session init
+        // dominates registration, and concurrent registrations must not
+        // queue behind one another's.
         let mut session = (self.factory)(seed)?;
         if let Some(obs) = &self.obs {
             session.attach_obs(obs.clone());
         }
         let now = session.get_real_cyc();
-        let shard_i = Self::shard_of(tid);
-        let cell = Arc::new(ThreadCell {
-            session: SeqCell::new(Some(session)),
-            published: PublishedCounts::default(),
-            generation: AtomicU64::new(0),
-        });
-        // Clone-and-publish: the new table differs only in one slot.
-        let mut next = self.current().clone_shards();
-        let slots = &mut next.shards[shard_i];
-        let slot_i = match slots.iter().position(Option::is_none) {
-            Some(i) => {
-                slots[i] = Some(cell.clone());
-                i
-            }
-            None => {
-                slots.push(Some(cell.clone()));
-                slots.len() - 1
-            }
-        };
-        self.publish_table(next);
-        map.insert(tid, (shard_i, slot_i));
-        drop(map);
+        let mut reg = self.registrations();
+        if reg.threads.contains(&tid) {
+            return Err(PapiError::Cnflct);
+        }
+        // With no slot free, every created slot is occupied.
+        let slot = reg.free.pop().unwrap_or(reg.threads.len());
+        let cell = self.table.cell_or_insert(slot).clone();
+        *cell.session.lock() = Some(session);
+        cell.vacant.store(false, Ordering::Release);
+        reg.threads.insert(tid);
+        drop(reg);
         if let Some(obs) = &self.obs {
             obs.inc(papi_obs::Counter::ThreadsRegistered);
-            obs.record(now, || papi_obs::JournalEvent::ThreadRegistered {
-                shard: shard_i,
-                slot: slot_i,
-            });
+            obs.record(now, || papi_obs::JournalEvent::ThreadRegistered { slot });
         }
         Ok(PapiThread {
             cell,
-            shard: shard_i,
-            slot: slot_i,
+            slot,
             tid,
             obs: self.obs.clone(),
         })
     }
 
-    /// `PAPI_unregister_thread`: retire `token`'s session slot and hand
-    /// the private [`Papi`] session back to the caller.
+    /// `PAPI_unregister_thread`: vacate `token`'s session slot for reuse
+    /// and hand the private [`Papi`] session back to the caller.
     ///
     /// Rejected (returning the token so the thread can clean up and
     /// retry) when the session still owns live EventSets — mirroring real
@@ -363,68 +316,55 @@ impl<S: Substrate + Send> ThreadedPapi<S> {
         &self,
         token: PapiThread<S>,
     ) -> std::result::Result<Papi<S>, (PapiThread<S>, PapiError)> {
+        if !self
+            .table
+            .cell(token.slot)
+            .is_some_and(|cell| Arc::ptr_eq(cell, &token.cell))
         {
-            let guard = token.cell.session.lock();
-            match guard.as_ref() {
-                Some(session) if session.sets.iter().any(Option::is_some) => {
-                    drop(guard);
-                    return Err((
-                        token,
-                        PapiError::Inval("thread still owns live EventSets; destroy them first"),
-                    ));
-                }
-                Some(_) => {}
-                None => {
-                    drop(guard);
-                    return Err((
-                        token,
-                        PapiError::Inval("token's session was already unregistered"),
-                    ));
-                }
-            }
+            return Err((
+                token,
+                PapiError::Inval("token does not belong to this session table"),
+            ));
         }
-        let mut map = self.reg.lock().unwrap();
-        match self.current().cell(token.shard, token.slot) {
-            Some(cell) if Arc::ptr_eq(cell, &token.cell) => {}
-            _ => {
-                return Err((
-                    token,
-                    PapiError::Inval("token does not belong to this session table"),
-                ));
-            }
+        // Vacate the cell completely before its slot can be handed out
+        // again: the next occupant finds no session, no publication and
+        // a generation its predecessor never published under.
+        let mut reg = self.registrations();
+        let mut guard = token.cell.session.lock();
+        if guard
+            .as_ref()
+            .is_some_and(|p| p.sets.iter().any(Option::is_some))
+        {
+            drop(guard);
+            return Err((
+                token,
+                PapiError::Inval("thread still owns live EventSets; destroy them first"),
+            ));
         }
-        // Vacate the slot in a fresh table; stale tables keep the cell
-        // shell alive, but the session itself moves out below.
-        let mut next = self.current().clone_shards();
-        next.shards[token.shard][token.slot] = None;
-        self.publish_table(next);
-        map.remove(&token.tid);
-        drop(map);
         token.cell.published.clear();
-        let session = token
-            .cell
-            .session
-            .lock()
+        token.cell.generation.fetch_add(1, Ordering::Relaxed);
+        let session = guard
             .take()
-            .expect("liveness was checked above under the same cell");
-        let obs = token.obs.clone();
-        let (shard_i, slot_i) = (token.shard, token.slot);
-        drop(token);
-        if let Some(obs) = &obs {
+            .expect("a live token's cell always holds its session");
+        drop(guard);
+        token.cell.vacant.store(true, Ordering::Release);
+        reg.threads.remove(&token.tid);
+        reg.free.push(token.slot);
+        drop(reg);
+        if let Some(obs) = &token.obs {
             obs.inc(papi_obs::Counter::ThreadsUnregistered);
             let now = session.get_real_cyc();
-            obs.record(now, || papi_obs::JournalEvent::ThreadUnregistered {
-                shard: shard_i,
-                slot: slot_i,
-            });
+            let slot = token.slot;
+            obs.record(now, || papi_obs::JournalEvent::ThreadUnregistered { slot });
         }
         Ok(session)
     }
 
     /// Run `f` against the session owning `id`, from any thread. The
-    /// lookup is lock-free (one atomic table load); entering the session
-    /// spins on its sequence stamp until the owner is quiescent. Fails
-    /// with [`PapiError::NoEvst`] when the slot is vacant.
+    /// lookup is lock-free (an index into the table); entering the
+    /// session spins on its sequence stamp until the owner is quiescent.
+    /// Fails with [`PapiError::NoEvst`] when the slot is vacant or was
+    /// never created.
     ///
     /// This is the cross-thread escape hatch (inspection, third-party
     /// mutation); it *excludes* the owner while `f` runs. Pure observers
@@ -435,12 +375,9 @@ impl<S: Substrate + Send> ThreadedPapi<S> {
         id: TaggedSetId,
         f: impl FnOnce(&mut Papi<S>) -> R,
     ) -> Result<R> {
-        if id.shard() >= NUM_SHARDS {
-            return Err(PapiError::Inval("tagged id has an out-of-range shard"));
-        }
         let cell = self
-            .current()
-            .cell(id.shard(), id.slot())
+            .table
+            .cell(id.slot())
             .ok_or(PapiError::NoEvst(id.local()))?;
         let mut guard = cell.session.lock();
         let session = guard.as_mut().ok_or(PapiError::NoEvst(id.local()))?;
@@ -448,10 +385,10 @@ impl<S: Substrate + Send> ThreadedPapi<S> {
     }
 
     /// Wait-free observation of the latest counter values the owning
-    /// thread published for `id`'s session: one atomic table load plus a
-    /// seqlock snapshot copy. Never blocks the owner and is never blocked
-    /// *by* the owner — a torn copy (owner mid-publish) retries the copy,
-    /// not the session.
+    /// thread published for `id`'s session: an index into the table, a
+    /// vacancy flag load and a seqlock snapshot copy. Never blocks the
+    /// owner and is never blocked *by* the owner — a torn copy (owner
+    /// mid-publish) retries the copy, not the session.
     ///
     /// The snapshot's `generation` changes whenever the owner reprograms
     /// (`start`/`reset`/`accum`/`stop`), so values from two programming
@@ -459,16 +396,14 @@ impl<S: Substrate + Send> ThreadedPapi<S> {
     /// generation, successive snapshots are monotone non-decreasing for
     /// monotone events.
     ///
-    /// Fails with [`PapiError::NoEvst`] for a vacant slot and
-    /// [`PapiError::NotRun`] when the owner has not published since the
-    /// last reprogram (e.g. the set is stopped).
+    /// Fails with [`PapiError::NoEvst`] for a vacant or never-created
+    /// slot and [`PapiError::NotRun`] when the owner has not published
+    /// since the last reprogram (e.g. the set is stopped).
     pub fn snapshot_counts(&self, id: TaggedSetId) -> Result<CountSnapshot> {
-        if id.shard() >= NUM_SHARDS {
-            return Err(PapiError::Inval("tagged id has an out-of-range shard"));
-        }
         let cell = self
-            .current()
-            .cell(id.shard(), id.slot())
+            .table
+            .cell(id.slot())
+            .filter(|cell| !cell.vacant.load(Ordering::Acquire))
             .ok_or(PapiError::NoEvst(id.local()))?;
         cell.published.snapshot().ok_or(PapiError::NotRun)
     }
@@ -483,7 +418,6 @@ impl<S: Substrate + Send> ThreadedPapi<S> {
 /// thread's token is rejected with [`PapiError::Inval`].
 pub struct PapiThread<S: Substrate + Send> {
     cell: Arc<ThreadCell<S>>,
-    shard: usize,
     slot: usize,
     tid: OsThreadId,
     obs: Option<papi_obs::ObsHandle>,
@@ -492,7 +426,6 @@ pub struct PapiThread<S: Substrate + Send> {
 impl<S: Substrate + Send> std::fmt::Debug for PapiThread<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PapiThread")
-            .field("shard", &self.shard)
             .field("slot", &self.slot)
             .field("tid", &self.tid)
             .finish_non_exhaustive()
@@ -508,24 +441,19 @@ impl<S: Substrate + Send> std::fmt::Debug for ThreadedPapi<S> {
 }
 
 impl<S: Substrate + Send> PapiThread<S> {
-    /// Shard this thread's session slot lives in.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// Slot index within the shard.
+    /// Session-table slot this thread's session occupies.
     pub fn slot(&self) -> usize {
         self.slot
     }
 
-    /// Tag a session-local id with this thread's `(shard, slot)`.
+    /// Tag a session-local id with this thread's slot.
     fn tag(&self, local: EventSetId) -> TaggedSetId {
-        TaggedSetId::new(self.shard, self.slot, local)
+        TaggedSetId::new(self.slot, local)
     }
 
     /// Untag `id`, proving it belongs to this thread's session.
     fn check(&self, id: TaggedSetId) -> Result<EventSetId> {
-        if id.shard() == self.shard && id.slot() == self.slot {
+        if id.slot() == self.slot {
             Ok(id.local())
         } else {
             if let Some(obs) = &self.obs {
@@ -548,11 +476,19 @@ impl<S: Substrate + Send> PapiThread<S> {
         f(papi)
     }
 
-    /// Advance the published programming generation (the counters were
-    /// rebased or reprogrammed) and empty the publication area.
-    fn republish_epoch(&self) {
+    /// Run an operation that rebases or reprograms `id`'s counters; on
+    /// success, advance the published generation and empty the
+    /// publication area.
+    fn reprogram<R>(
+        &self,
+        id: TaggedSetId,
+        op: impl FnOnce(&mut Papi<S>, EventSetId) -> Result<R>,
+    ) -> Result<R> {
+        let local = self.check(id)?;
+        let r = self.session(|p| op(p, local))?;
         self.cell.generation.fetch_add(1, Ordering::Relaxed);
         self.cell.published.clear();
+        Ok(r)
     }
 
     /// Full access to the underlying session, for the parts of the API
@@ -620,12 +556,7 @@ impl<S: Substrate + Send> PapiThread<S> {
     /// `PAPI_start`. Opens a fresh published generation: observers see
     /// the restart as a generation bump, never as counts going backwards.
     pub fn start(&self, id: TaggedSetId) -> Result<()> {
-        let local = self.check(id)?;
-        let r = self.session(|p| p.start(local));
-        if r.is_ok() {
-            self.republish_epoch();
-        }
-        r
+        self.reprogram(id, |p, set| p.start(set))
     }
 
     /// `PAPI_read` into a caller buffer — the per-thread lock-free hot
@@ -654,33 +585,18 @@ impl<S: Substrate + Send> PapiThread<S> {
     /// `PAPI_accum`. Resets the counters, so the published generation
     /// advances.
     pub fn accum(&self, id: TaggedSetId, values: &mut [i64]) -> Result<()> {
-        let local = self.check(id)?;
-        let r = self.session(|p| p.accum(local, values));
-        if r.is_ok() {
-            self.republish_epoch();
-        }
-        r
+        self.reprogram(id, |p, set| p.accum(set, values))
     }
 
     /// `PAPI_reset`. Advances the published generation.
     pub fn reset(&self, id: TaggedSetId) -> Result<()> {
-        let local = self.check(id)?;
-        let r = self.session(|p| p.reset(local));
-        if r.is_ok() {
-            self.republish_epoch();
-        }
-        r
+        self.reprogram(id, |p, set| p.reset(set))
     }
 
     /// `PAPI_stop`. Advances the published generation and empties the
     /// publication area (there is no running counter state to observe).
     pub fn stop(&self, id: TaggedSetId) -> Result<Vec<i64>> {
-        let local = self.check(id)?;
-        let r = self.session(|p| p.stop(local));
-        if r.is_ok() {
-            self.republish_epoch();
-        }
-        r
+        self.reprogram(id, |p, set| p.stop(set))
     }
 
     /// Run this thread's application to completion (see
@@ -718,6 +634,7 @@ impl ThreadedPapi<BoxSubstrate> {
 mod tests {
     use super::*;
     use crate::substrate::SimSubstrate;
+    use crate::testutil::MockSubstrate;
     use crate::Preset;
     use simcpu::{platform, Machine, ProgramBuilder};
 
@@ -737,13 +654,12 @@ mod tests {
 
     #[test]
     fn tagged_id_roundtrip() {
-        for &(shard, slot, local) in &[
-            (0usize, 0usize, 0usize),
-            (NUM_SHARDS - 1, (SLOT_MASK as usize), LOCAL_MASK as usize),
-            (3, 7, 11),
+        for &(slot, local) in &[
+            (0usize, 0usize),
+            (FIELD_MASK as usize, FIELD_MASK as usize),
+            (7, 11),
         ] {
-            let id = TaggedSetId::new(shard, slot, local);
-            assert_eq!(id.shard(), shard);
+            let id = TaggedSetId::new(slot, local);
             assert_eq!(id.slot(), slot);
             assert_eq!(id.local(), local);
             assert_eq!(TaggedSetId::from_raw(id.raw()), id);
@@ -811,8 +727,8 @@ mod tests {
         let pool = pool();
         let token = pool.register_thread().unwrap();
         let set = token.create_eventset();
-        // Forge an id tagged for a different slot in a different shard.
-        let foreign = TaggedSetId::new((set.shard() + 1) % NUM_SHARDS, set.slot() + 1, set.local());
+        // Forge an id tagged for a different slot.
+        let foreign = TaggedSetId::new(set.slot() + 1, set.local());
         for err in [
             token.start(foreign).unwrap_err(),
             token.read_into(foreign, &mut [0i64; 4]).unwrap_err(),
@@ -836,7 +752,7 @@ mod tests {
         };
         let token = pool.register_thread().unwrap();
         let set = token.create_eventset();
-        let foreign = TaggedSetId::new((set.shard() + 1) % NUM_SHARDS, set.slot(), set.local());
+        let foreign = TaggedSetId::new(set.slot() + 1, set.local());
         assert!(token.start(foreign).is_err());
         let obs = pool.obs().unwrap();
         assert_eq!(obs.get(papi_obs::Counter::CrossThreadDenied), 1);
@@ -844,7 +760,7 @@ mod tests {
     }
 
     #[test]
-    fn registration_from_many_threads_lands_in_shards() {
+    fn registration_from_many_threads_lands_in_slots() {
         let pool = pool();
         let mut joins = Vec::new();
         for _ in 0..8 {
@@ -878,8 +794,16 @@ mod tests {
             .unwrap();
         assert_eq!(n, 1);
         // A vacant slot is a NoEvst error, not a panic.
-        let vacant = TaggedSetId::new(set.shard(), set.slot() + 1, 0);
+        let vacant = TaggedSetId::new(set.slot() + 1, 0);
         assert!(pool.with_session_of(vacant, |_| ()).is_err());
+        // Every raw id names a slot: a forged one is missing, not invalid.
+        let forged = TaggedSetId::from_raw(u64::MAX);
+        assert!(matches!(
+            pool.snapshot_counts(forged),
+            Err(PapiError::NoEvst(_))
+        ));
+        let forged_session = pool.with_session_of(forged, |_| ());
+        assert!(matches!(forged_session, Err(PapiError::NoEvst(_))));
     }
 
     #[test]
@@ -921,52 +845,76 @@ mod tests {
         ));
     }
 
+    /// A pool of sessions over the scripted mock substrate: no simulator,
+    /// so registration churn costs only the portable layer's own work.
+    fn mock_pool() -> Arc<ThreadedPapi<MockSubstrate>> {
+        Arc::new(ThreadedPapi::new(0, |_| Papi::init(MockSubstrate::new())))
+    }
+
+    /// One occupancy of a slot: register, publish one read, clean up and
+    /// unregister. Returns the set's id and its published generation.
+    fn occupy(pool: &Arc<ThreadedPapi<MockSubstrate>>) -> (TaggedSetId, u64) {
+        let token = pool.register_thread().unwrap();
+        let set = token.create_eventset();
+        token.add_event(set, Preset::TotIns.code()).unwrap();
+        token.start(set).unwrap();
+        token.read_into(set, &mut [0i64; 1]).unwrap();
+        let generation = pool.snapshot_counts(set).unwrap().generation;
+        token.stop(set).unwrap();
+        token.destroy_eventset(set).unwrap();
+        pool.unregister_thread(token).unwrap();
+        (set, generation)
+    }
+
     #[test]
-    fn rcu_table_survives_register_unregister_churn() {
-        // Readers traverse the table while other threads register and
-        // unregister; every load must see a coherent table (no dangling
-        // slots, no partially built shards).
-        let pool = pool();
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let reader = {
-            let pool = pool.clone();
-            let stop = stop.clone();
-            std::thread::spawn(move || {
-                let mut looked = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    for shard in 0..NUM_SHARDS {
-                        let id = TaggedSetId::new(shard, 0, 0);
-                        // Any answer is fine; the point is no panic/UB.
-                        let _ = pool.snapshot_counts(id);
-                        looked += 1;
-                    }
-                }
-                looked
-            })
-        };
-        let mut churners = Vec::new();
-        for t in 0..4u64 {
-            let pool = pool.clone();
-            churners.push(std::thread::spawn(move || {
-                for round in 0..10 {
-                    let token = pool.register_thread_seeded(t * 31 + round).unwrap();
-                    let set = token.create_eventset();
-                    token.add_event(set, Preset::TotIns.code()).unwrap();
-                    token.start(set).unwrap();
-                    token.run_for(5_000).unwrap();
-                    let mut out = [0i64; 1];
-                    token.read_into(set, &mut out).unwrap();
-                    token.stop(set).unwrap();
-                    token.destroy_eventset(set).unwrap();
-                    pool.unregister_thread(token).unwrap();
-                }
-            }));
+    fn generation_never_repeats_across_occupants_of_a_slot() {
+        // A reused slot reuses its ids too, so an observer holding one
+        // can tell that the counts restarted only by the generation.
+        let pool = mock_pool();
+        let (first_id, first_gen) = occupy(&pool);
+        let (second_id, second_gen) = occupy(&pool);
+        assert_eq!(second_id, first_id, "the vacated slot is reused in place");
+        assert!(
+            second_gen > first_gen,
+            "generation {second_gen} after {first_gen}"
+        );
+    }
+
+    #[test]
+    fn table_stays_dense_under_register_unregister_churn() {
+        // One thread at a time: every registration reuses slot 0, and the
+        // table never creates a second cell.
+        let pool = mock_pool();
+        for _ in 0..1_000 {
+            assert_eq!(occupy(&pool).0.slot(), 0);
         }
-        for c in churners {
-            c.join().unwrap();
-        }
-        stop.store(true, Ordering::Relaxed);
-        assert!(reader.join().unwrap() > 0);
         assert_eq!(pool.registered_threads(), 0);
+        assert!(pool.table.cell(1).is_none());
+    }
+
+    #[test]
+    fn sessions_are_built_outside_the_registration_lock() {
+        // Each factory announces itself, then waits for the other to
+        // start. Were the registration lock held across the factory, the
+        // second could not start and the first would time out.
+        let started = (Mutex::new(0u32), std::sync::Condvar::new());
+        let pool = Arc::new(ThreadedPapi::new(0, move |_| {
+            let (count, cv) = &started;
+            let mut n = count.lock().unwrap();
+            *n += 1;
+            cv.notify_all();
+            let five_s = std::time::Duration::from_secs(5);
+            let (_n, wait) = cv.wait_timeout_while(n, five_s, |n| *n < 2).unwrap();
+            if wait.timed_out() {
+                return Err(PapiError::Inval("the other session never started"));
+            }
+            Papi::init(MockSubstrate::new())
+        }));
+        std::thread::scope(|s| {
+            let register = || s.spawn(|| pool.register_thread().map(|t| pool.unregister_thread(t)));
+            for j in [register(), register()] {
+                assert!(matches!(j.join().unwrap(), Ok(Ok(_))));
+            }
+        });
     }
 }

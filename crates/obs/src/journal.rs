@@ -106,19 +106,15 @@ pub enum JournalEvent {
         /// Events displaced and re-placed during the search.
         backtracks: u64,
     },
-    /// An OS thread registered into a sharded session table and received
-    /// its own substrate context.
+    /// An OS thread registered into a session table and received its
+    /// own substrate context.
     ThreadRegistered {
-        /// Shard the thread's session slot lives in.
-        shard: usize,
-        /// Slot index within the shard.
+        /// Session-table slot the thread's session occupies.
         slot: usize,
     },
-    /// An OS thread unregistered; its session slot was retired.
+    /// An OS thread unregistered; its session slot was vacated for reuse.
     ThreadUnregistered {
-        /// Shard the thread's session slot lived in.
-        shard: usize,
-        /// Slot index within the shard.
+        /// Session-table slot the thread's session occupied.
         slot: usize,
     },
     /// A transient substrate error was absorbed and the operation retried.
@@ -359,8 +355,8 @@ mod tests {
                 augment_steps: 0,
                 backtracks: 0,
             },
-            JournalEvent::ThreadRegistered { shard: 0, slot: 0 },
-            JournalEvent::ThreadUnregistered { shard: 0, slot: 0 },
+            JournalEvent::ThreadRegistered { slot: 0 },
+            JournalEvent::ThreadUnregistered { slot: 0 },
             JournalEvent::TransientRetried {
                 op: "read",
                 attempt: 1,

@@ -73,10 +73,9 @@ pub enum Counter {
     CyclesInStartStop,
     /// Virtual cycles spent inside multiplex rotation (self-accounted).
     CyclesInMpxRotate,
-    /// OS threads registered into a sharded session table
-    /// (`register_thread`).
+    /// OS threads registered into a session table (`register_thread`).
     ThreadsRegistered,
-    /// OS threads unregistered from a sharded session table.
+    /// OS threads unregistered from a session table.
     ThreadsUnregistered,
     /// Operations rejected because an EventSet id was tagged for a
     /// different thread's session (cross-thread misuse).

@@ -1,4 +1,4 @@
-//! Concurrency stress suite for the sharded per-thread session table.
+//! Concurrency stress suite for the per-thread session table.
 //!
 //! Röhl et al.'s event-validation lesson is that concurrent counting is
 //! where silent miscounts hide, so these tests don't just check "nothing
@@ -7,7 +7,8 @@
 //! (deterministic `SmallRng` drive loops, like tests/props.rs — failures
 //! reproduce from the seed in the assert message).
 
-use papi_suite::papi::threads::{PapiThread, TaggedSetId, ThreadedPapi, NUM_SHARDS};
+use papi_suite::papi::testutil::MockSubstrate;
+use papi_suite::papi::threads::{PapiThread, TaggedSetId, ThreadedPapi};
 use papi_suite::papi::{CountSnapshot, Papi, PapiError, Preset, SimSubstrate, Substrate};
 use papi_suite::workloads::{random_program, RandomCfg};
 use simcpu::rng::SmallRng;
@@ -94,7 +95,7 @@ fn per_thread_totals_match_single_threaded_replay() {
 #[test]
 fn stress_register_count_unregister_cycles() {
     // 8 threads x 5 register/count/unregister cycles each, hammering the
-    // shard tables from all sides while sessions come and go.
+    // session table from all sides while sessions come and go.
     let pool = sim_pool();
     let mut joins = Vec::new();
     for t in 0..8u64 {
@@ -243,20 +244,63 @@ fn shared_obs_stays_consistent_under_concurrent_sessions() {
 }
 
 #[test]
-fn tagged_ids_expose_their_shard_and_stay_in_range() {
+fn tagged_ids_expose_their_slot_and_stay_in_range() {
     let pool = sim_pool();
     let token = pool.register_thread_seeded(9).unwrap();
     let set = token.create_eventset();
-    assert!(set.shard() < NUM_SHARDS);
-    assert_eq!(set.shard(), token.shard());
+    // The table is dense: the only registered thread holds slot 0.
+    assert_eq!(set.slot(), 0);
     assert_eq!(set.slot(), token.slot());
-    // The cross-shard lookup routes by the tag alone.
+    // The cross-thread lookup routes by the tag alone.
     let n = pool
         .with_session_of(set, |papi| papi.num_events(set.local()).unwrap())
         .unwrap();
     assert_eq!(n, 0);
     token.destroy_eventset(set).unwrap();
     pool.unregister_thread(token).unwrap();
+}
+
+#[test]
+fn churn_keeps_slots_dense_under_concurrent_snapshots() {
+    // 4 threads x 250 register/read/unregister cycles while an observer
+    // polls every slot: cells are reused in place, so no slot ever
+    // reaches the peak number of threads registered at once.
+    const CHURNERS: usize = 4;
+    let pool = Arc::new(ThreadedPapi::new(0, |_| Papi::init(MockSubstrate::new())));
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let observer = s.spawn(|| {
+            while !done.load(Ordering::Relaxed) {
+                for slot in 0..=CHURNERS {
+                    // Any answer is fine; a published one is whole.
+                    if let Ok(snap) = pool.snapshot_counts(TaggedSetId::new(slot, 0)) {
+                        assert_eq!(snap.len, 1, "half-published snapshot");
+                    }
+                }
+            }
+        });
+        let churn = || {
+            for _ in 0..250 {
+                let token = pool.register_thread().unwrap();
+                let slot = token.slot();
+                assert!(slot < CHURNERS, "slot {slot} past the peak");
+                let set = token.create_eventset();
+                token.add_event(set, Preset::TotIns.code()).unwrap();
+                token.start(set).unwrap();
+                token.read_into(set, &mut [0i64; 1]).unwrap();
+                token.stop(set).unwrap();
+                token.destroy_eventset(set).unwrap();
+                pool.unregister_thread(token).unwrap();
+            }
+        };
+        let churners: Vec<_> = (0..CHURNERS).map(|_| s.spawn(churn)).collect();
+        // Stop the observer before reporting a churner's panic.
+        let churned: Vec<_> = churners.into_iter().map(|c| c.join()).collect();
+        done.store(true, Ordering::Relaxed);
+        observer.join().unwrap();
+        churned.into_iter().for_each(|r| r.unwrap());
+    });
+    assert_eq!(pool.registered_threads(), 0);
 }
 
 /// Seeded-interleaving torture for the lock-free read path: one writer
