@@ -40,6 +40,13 @@ pub enum IngestOutcome {
     UnknownTenant,
 }
 
+impl IngestOutcome {
+    /// Whether the frame was applied (in order or not).
+    pub fn applied(self) -> bool {
+        matches!(self, IngestOutcome::Applied | IngestOutcome::OutOfOrder)
+    }
+}
+
 /// Anti-replay window for one source stream.
 #[derive(Debug, Default)]
 struct SourceState {
@@ -174,35 +181,39 @@ impl TenantState {
         }
         self.sources.entry(source).or_default().admit(seq)
     }
-}
 
-/// Per-tenant ingest statistics (mirrored into the daemon's global
-/// `aggd.*` observability counters; kept here so queries can report one
-/// tenant's accounting in isolation).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TenantStats {
-    /// Frames received for this tenant (every outcome).
-    pub frames_in: u64,
-    /// Frames applied exactly once (includes out-of-order).
-    pub applied: u64,
-    /// Duplicate / beyond-window frames dropped.
-    pub dup_dropped: u64,
-    /// Applied frames that arrived out of order.
-    pub out_of_order: u64,
-    /// Frames shed by the per-window quota.
-    pub dropped_frames: u64,
-    /// Non-empty windows overwritten by newer ones.
-    pub evicted_windows: u64,
-    /// Applied deltas older than the ring horizon (lifetime-only).
-    pub stale_windows: u64,
-    /// Delta entries referencing an unbound series id.
-    pub unknown_series: u64,
-}
-
-impl TenantStats {
-    /// The zero-silent-drop identity: every frame is accounted for.
-    pub fn accounted(&self) -> bool {
-        self.frames_in == self.applied + self.dup_dropped + self.dropped_frames
+    /// Count one frame in and decide whether it applies: `Applied` or
+    /// `OutOfOrder` when it does, `DupDropped` or `QuotaDropped` when it
+    /// does not. Every outcome is counted in `obs`.
+    fn admit_frame(
+        &mut self,
+        obs: &Obs,
+        source: u64,
+        seq: u64,
+        cycles: u64,
+        quota: u32,
+    ) -> IngestOutcome {
+        obs.inc(Counter::AggdFramesIn);
+        let Some(admitted) = self.admit(source, seq) else {
+            obs.inc(Counter::AggdDupDropped);
+            return IngestOutcome::DupDropped;
+        };
+        if !self.quota.admit(cycles, quota) {
+            // The seq stays consumed, so quota drops are still exactly
+            // once: a retry of a shed frame is a dup by design. The frame
+            // counts as shed, not applied, so close-time gapless checks
+            // reflect applied-to-series frames.
+            if let Some(src) = self.sources.get_mut(&source) {
+                src.applied -= 1;
+                src.shed += 1;
+            }
+            obs.inc(Counter::AggdDroppedFrames);
+            return IngestOutcome::QuotaDropped;
+        }
+        if admitted == IngestOutcome::OutOfOrder {
+            obs.inc(Counter::AggdOutOfOrder);
+        }
+        admitted
     }
 }
 
@@ -211,7 +222,6 @@ impl TenantStats {
 pub struct Tenant {
     name: String,
     state: Mutex<TenantState>,
-    stats: Mutex<TenantStats>,
     /// Activity stamp from the aggregator's logical clock (LRU eviction).
     pub(crate) last_active: AtomicU64,
     quota: u32,
@@ -228,7 +238,6 @@ impl Tenant {
                 retired: RetiredIds::default(),
                 quota: QuotaRing::new(window_cycles, windows),
             }),
-            stats: Mutex::new(TenantStats::default()),
             last_active: AtomicU64::new(0),
             quota,
         }
@@ -271,68 +280,22 @@ impl Tenant {
         map: &[u16],
     ) -> IngestOutcome {
         let mut st = self.state.lock().unwrap();
-        let mut stats = TenantStats {
-            frames_in: 1,
-            ..TenantStats::default()
-        };
-        obs.inc(Counter::AggdFramesIn);
-        let outcome = match st.admit(source, seq) {
-            None => {
-                stats.dup_dropped = 1;
-                obs.inc(Counter::AggdDupDropped);
-                IngestOutcome::DupDropped
+        let outcome = st.admit_frame(obs, source, seq, cycles, self.quota);
+        if !outcome.applied() {
+            return outcome;
+        }
+        for (sid, delta) in deltas {
+            let mapped = map.get(sid as usize);
+            let Some(series) = mapped.and_then(|&idx| st.series.get_mut(idx as usize)) else {
+                obs.inc(Counter::AggdUnknownSeries);
+                continue;
+            };
+            match series.ring.apply(cycles, delta) {
+                WindowOutcome::Applied => {}
+                WindowOutcome::Evicted => obs.inc(Counter::AggdEvictedWindows),
+                WindowOutcome::Stale => obs.inc(Counter::AggdStaleWindows),
             }
-            Some(admitted) => {
-                if !st.quota.admit(cycles, self.quota) {
-                    // Un-admit is unnecessary: quota drops are still
-                    // exactly-once (the seq is consumed; a retry of a
-                    // quota-dropped frame is a dup by design).
-                    stats.dropped_frames = 1;
-                    stats.applied = 0;
-                    // The seq was admitted but the frame is shed; undo the
-                    // applied count so close-time gapless checks reflect
-                    // applied-to-series frames.
-                    if let Some(src) = st.sources.get_mut(&source) {
-                        src.applied -= 1;
-                        src.shed += 1;
-                    }
-                    obs.inc(Counter::AggdDroppedFrames);
-                    IngestOutcome::QuotaDropped
-                } else {
-                    stats.applied = 1;
-                    if admitted == IngestOutcome::OutOfOrder {
-                        stats.out_of_order = 1;
-                        obs.inc(Counter::AggdOutOfOrder);
-                    }
-                    for (sid, delta) in deltas {
-                        let Some(&idx) = map.get(sid as usize) else {
-                            stats.unknown_series += 1;
-                            obs.inc(Counter::AggdUnknownSeries);
-                            continue;
-                        };
-                        let Some(series) = st.series.get_mut(idx as usize) else {
-                            stats.unknown_series += 1;
-                            obs.inc(Counter::AggdUnknownSeries);
-                            continue;
-                        };
-                        match series.ring.apply(cycles, delta) {
-                            WindowOutcome::Applied => {}
-                            WindowOutcome::Evicted => {
-                                stats.evicted_windows += 1;
-                                obs.inc(Counter::AggdEvictedWindows);
-                            }
-                            WindowOutcome::Stale => {
-                                stats.stale_windows += 1;
-                                obs.inc(Counter::AggdStaleWindows);
-                            }
-                        }
-                    }
-                    admitted
-                }
-            }
-        };
-        drop(st);
-        self.merge_stats(&stats);
+        }
         outcome
     }
 
@@ -349,52 +312,21 @@ impl Tenant {
         map: &[u16],
     ) -> IngestOutcome {
         let mut st = self.state.lock().unwrap();
-        let mut stats = TenantStats {
-            frames_in: 1,
-            ..TenantStats::default()
-        };
-        obs.inc(Counter::AggdFramesIn);
-        let outcome = match st.admit(source, seq) {
-            None => {
-                stats.dup_dropped = 1;
-                obs.inc(Counter::AggdDupDropped);
-                IngestOutcome::DupDropped
-            }
-            Some(admitted) => {
-                if !st.quota.admit(cycles, self.quota) {
-                    stats.dropped_frames = 1;
-                    if let Some(src) = st.sources.get_mut(&source) {
-                        src.applied -= 1;
-                        src.shed += 1;
+        let outcome = st.admit_frame(obs, source, seq, cycles, self.quota);
+        if !outcome.applied() {
+            return outcome;
+        }
+        let mapped = map.get(sid as usize);
+        match mapped.and_then(|&idx| st.series.get_mut(idx as usize)) {
+            Some(series) => {
+                for (b, n) in buckets {
+                    if (b as usize) < NUM_BUCKETS {
+                        series.hist.merge_bucket(b as usize, n);
                     }
-                    obs.inc(Counter::AggdDroppedFrames);
-                    IngestOutcome::QuotaDropped
-                } else {
-                    stats.applied = 1;
-                    if admitted == IngestOutcome::OutOfOrder {
-                        stats.out_of_order = 1;
-                        obs.inc(Counter::AggdOutOfOrder);
-                    }
-                    let mapped = map.get(sid as usize).copied();
-                    match mapped.and_then(|idx| st.series.get_mut(idx as usize)) {
-                        Some(series) => {
-                            for (b, n) in buckets {
-                                if (b as usize) < NUM_BUCKETS {
-                                    series.hist.merge_bucket(b as usize, n);
-                                }
-                            }
-                        }
-                        None => {
-                            stats.unknown_series += 1;
-                            obs.inc(Counter::AggdUnknownSeries);
-                        }
-                    }
-                    admitted
                 }
             }
-        };
-        drop(st);
-        self.merge_stats(&stats);
+            None => obs.inc(Counter::AggdUnknownSeries),
+        }
         outcome
     }
 
@@ -415,23 +347,6 @@ impl Tenant {
             obs.inc(Counter::AggdSourcesIncomplete);
         }
         clean
-    }
-
-    /// This tenant's ingest accounting.
-    pub fn stats(&self) -> TenantStats {
-        *self.stats.lock().unwrap()
-    }
-
-    fn merge_stats(&self, d: &TenantStats) {
-        let mut s = self.stats.lock().unwrap();
-        s.frames_in += d.frames_in;
-        s.applied += d.applied;
-        s.dup_dropped += d.dup_dropped;
-        s.out_of_order += d.out_of_order;
-        s.dropped_frames += d.dropped_frames;
-        s.evicted_windows += d.evicted_windows;
-        s.stale_windows += d.stale_windows;
-        s.unknown_series += d.unknown_series;
     }
 
     /// Visit every series as `(name, &ring, hist_snapshot_provider)`.
@@ -500,17 +415,44 @@ mod tests {
         Obs::new()
     }
 
+    /// A tenant's accounting as its `Obs` counted it, with `applied`
+    /// counted from the outcomes the tenant returned.
+    struct Tally {
+        frames_in: u64,
+        applied: u64,
+        dup_dropped: u64,
+        out_of_order: u64,
+        dropped_frames: u64,
+    }
+
+    impl Tally {
+        fn of(o: &Obs, outcomes: &[IngestOutcome]) -> Tally {
+            Tally {
+                frames_in: o.get(Counter::AggdFramesIn),
+                applied: outcomes.iter().filter(|x| x.applied()).count() as u64,
+                dup_dropped: o.get(Counter::AggdDupDropped),
+                out_of_order: o.get(Counter::AggdOutOfOrder),
+                dropped_frames: o.get(Counter::AggdDroppedFrames),
+            }
+        }
+
+        /// The zero-silent-drop identity: every frame is accounted for.
+        fn accounted(&self) -> bool {
+            self.frames_in == self.applied + self.dup_dropped + self.dropped_frames
+        }
+    }
+
     #[test]
     fn duplicates_never_double_apply() {
         let t = tenant();
         let o = obs();
         let sid = t.register_series("s", 1000, 8);
         let map = [sid];
-        for _ in 0..3 {
-            t.ingest_snapshot(&o, 1, 0, 10, [(0u16, 5u64)].into_iter(), &map);
-        }
+        let outcomes: Vec<_> = (0..3)
+            .map(|_| t.ingest_snapshot(&o, 1, 0, 10, [(0u16, 5u64)].into_iter(), &map))
+            .collect();
         assert_eq!(t.with_series("s", |r, _| r.lifetime_total()), Some(5));
-        let st = t.stats();
+        let st = Tally::of(&o, &outcomes);
         assert_eq!(st.frames_in, 3);
         assert_eq!(st.applied, 1);
         assert_eq!(st.dup_dropped, 2);
@@ -525,12 +467,14 @@ mod tests {
         let sid = t.register_series("s", 1000, 8);
         let map = [sid];
         // seqs arrive 2, 0, 1, then 1 again (dup).
-        t.ingest_snapshot(&o, 7, 2, 10, [(0u16, 1u64)].into_iter(), &map);
-        t.ingest_snapshot(&o, 7, 0, 10, [(0u16, 2u64)].into_iter(), &map);
-        t.ingest_snapshot(&o, 7, 1, 10, [(0u16, 4u64)].into_iter(), &map);
-        t.ingest_snapshot(&o, 7, 1, 10, [(0u16, 4u64)].into_iter(), &map);
+        let outcomes = [
+            t.ingest_snapshot(&o, 7, 2, 10, [(0u16, 1u64)].into_iter(), &map),
+            t.ingest_snapshot(&o, 7, 0, 10, [(0u16, 2u64)].into_iter(), &map),
+            t.ingest_snapshot(&o, 7, 1, 10, [(0u16, 4u64)].into_iter(), &map),
+            t.ingest_snapshot(&o, 7, 1, 10, [(0u16, 4u64)].into_iter(), &map),
+        ];
         assert_eq!(t.with_series("s", |r, _| r.lifetime_total()), Some(7));
-        let st = t.stats();
+        let st = Tally::of(&o, &outcomes);
         assert_eq!(st.out_of_order, 2);
         assert_eq!(st.dup_dropped, 1);
         assert_eq!(st.applied, 3);
@@ -543,12 +487,12 @@ mod tests {
         let o = obs();
         let sid = t.register_series("s", 1000, 8);
         let map = [sid];
-        t.ingest_snapshot(&o, 1, 100, 10, [(0u16, 1u64)].into_iter(), &map);
+        let first = t.ingest_snapshot(&o, 1, 100, 10, [(0u16, 1u64)].into_iter(), &map);
         // 100 - 30 = 70 > 64: cannot prove it isn't a dup; shed.
         let out = t.ingest_snapshot(&o, 1, 30, 10, [(0u16, 1u64)].into_iter(), &map);
         assert_eq!(out, IngestOutcome::DupDropped);
         assert_eq!(t.with_series("s", |r, _| r.lifetime_total()), Some(1));
-        assert!(t.stats().accounted());
+        assert!(Tally::of(&o, &[first, out]).accounted());
     }
 
     #[test]
@@ -557,18 +501,18 @@ mod tests {
         let o = obs();
         let sid = t.register_series("s", 1000, 4);
         let map = [sid];
-        for seq in 0..5 {
-            t.ingest_snapshot(&o, 1, seq, 10, [(0u16, 1u64)].into_iter(), &map);
-        }
-        let st = t.stats();
+        let mut outcomes: Vec<_> = (0..5)
+            .map(|seq| t.ingest_snapshot(&o, 1, seq, 10, [(0u16, 1u64)].into_iter(), &map))
+            .collect();
+        let st = Tally::of(&o, &outcomes);
         assert_eq!(st.frames_in, 5);
         assert_eq!(st.applied, 2);
         assert_eq!(st.dropped_frames, 3);
         assert!(st.accounted());
         assert_eq!(t.with_series("s", |r, _| r.lifetime_total()), Some(2));
         // A later window admits frames again.
-        t.ingest_snapshot(&o, 1, 5, 1500, [(0u16, 1u64)].into_iter(), &map);
-        assert_eq!(t.stats().applied, 3);
+        outcomes.push(t.ingest_snapshot(&o, 1, 5, 1500, [(0u16, 1u64)].into_iter(), &map));
+        assert_eq!(Tally::of(&o, &outcomes).applied, 3);
     }
 
     #[test]
@@ -620,20 +564,22 @@ mod tests {
         let o = obs();
         let sid = t.register_series("s", 1000, 8);
         let map = [sid];
-        for seq in 0..4 {
-            t.ingest_snapshot(&o, 3, seq, 10, [(0u16, 1u64)].into_iter(), &map);
-        }
+        let mut outcomes: Vec<_> = (0..4)
+            .map(|seq| t.ingest_snapshot(&o, 3, seq, 10, [(0u16, 1u64)].into_iter(), &map))
+            .collect();
         assert!(t.close_source(&o, 3, 4, true));
         assert_eq!(t.source_count(), 0, "the closed source is retired");
         // A replay of an applied seq and a seq never sent: both too late.
         for seq in [0, 4] {
             let out = t.ingest_snapshot(&o, 3, seq, 10, [(0u16, 1u64)].into_iter(), &map);
             assert_eq!(out, IngestOutcome::DupDropped);
+            outcomes.push(out);
         }
         let out = t.ingest_hist(&o, 3, 5, 10, 0, [(3u16, 1u64)].into_iter(), &map);
         assert_eq!(out, IngestOutcome::DupDropped);
+        outcomes.push(out);
         assert_eq!(t.with_series("s", |r, _| r.lifetime_total()), Some(4));
-        let st = t.stats();
+        let st = Tally::of(&o, &outcomes);
         assert_eq!((st.frames_in, st.applied, st.dup_dropped), (7, 4, 3));
         assert!(st.accounted());
         assert_eq!(o.get(Counter::AggdDupDropped), 3);
@@ -664,14 +610,19 @@ mod tests {
         for source in [62, 63, 64, 66] {
             assert!(t.close_source(&o, source, 0, true));
         }
+        let mut outcomes = Vec::new();
         for source in [62, 63, 64, 66] {
-            assert_eq!(frame(source), IngestOutcome::DupDropped, "source {source}");
+            let out = frame(source);
+            assert_eq!(out, IngestOutcome::DupDropped, "source {source}");
+            outcomes.push(out);
         }
         for source in [61, 65, 67, 128] {
-            assert_eq!(frame(source), IngestOutcome::Applied, "source {source}");
+            let out = frame(source);
+            assert_eq!(out, IngestOutcome::Applied, "source {source}");
+            outcomes.push(out);
         }
         assert_eq!(t.source_count(), 4);
         assert_eq!(t.with_series("s", |r, _| r.lifetime_total()), Some(4));
-        assert!(t.stats().accounted());
+        assert!(Tally::of(&o, &outcomes).accounted());
     }
 }

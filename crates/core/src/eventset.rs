@@ -20,8 +20,8 @@ use simcpu::{Domain, ThreadId};
 ///
 /// Ids are *session-local*: two sessions can both hand out id 0. The
 /// thread layer wraps them in [`crate::threads::TaggedSetId`], which adds
-/// the owning slot so a cross-thread lookup is rejected instead of
-/// silently resolving to the wrong thread's set.
+/// the owning slot and occupant so a cross-thread lookup is rejected
+/// instead of silently resolving to the wrong thread's set.
 pub type EventSetId = usize;
 
 /// Lifecycle state of an EventSet.

@@ -18,10 +18,12 @@
 //!   complete private [`Papi`] session — its **own substrate context** —
 //!   so two threads' counts cannot bleed by construction.
 //! * EventSet ids handed out through a token are [`TaggedSetId`]s carrying
-//!   the owning slot; using another thread's id is detected
-//!   arithmetically and rejected with [`PapiError::Inval`] (counted as
-//!   `threads.cross_thread_denied` when observability is attached), never
-//!   a panic or a silent read of foreign counters.
+//!   the owning slot and occupant number; using another thread's id is
+//!   detected arithmetically and rejected with [`PapiError::Inval`]
+//!   (counted as `threads.cross_thread_denied` when observability is
+//!   attached), never a panic or a silent read of foreign counters. An id
+//!   kept after its owner unregistered names an earlier occupant of its
+//!   cell, so it never reaches the cell's next occupant.
 //!
 //! ## Hot path (lock-free)
 //!
@@ -56,46 +58,62 @@ use crate::seqlock::{CountSnapshot, PublishedCounts, SeqCell};
 use crate::session::Papi;
 use crate::substrate::{BoxSubstrate, Substrate};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::ThreadId as OsThreadId;
 
-/// Both halves of a [`TaggedSetId`] are 32-bit fields.
-const FIELD_BITS: u32 = 32;
-const FIELD_MASK: u64 = (1 << FIELD_BITS) - 1;
+/// Field widths of a [`TaggedSetId`], from the top: slot, occupant
+/// number (a `u8`), session-local id.
+const SLOT_BITS: u32 = 24;
+const LOCAL_BITS: u32 = 32;
+const LOCAL_MASK: u64 = (1 << LOCAL_BITS) - 1;
 
-/// A thread-tagged EventSet id: `slot (32 bits) | session-local id
-/// (32 bits)`.
+/// A thread-tagged EventSet id: `slot (24 bits) | occupant (8 bits) |
+/// session-local id (32 bits)`.
 ///
-/// The tag names the session-table slot whose session owns the id, and
-/// lets any API entry point prove cheaply that an id belongs to the
-/// calling thread's session before touching counter state.
+/// The tag names the session-table slot whose session owns the id and
+/// which occupant of that slot's cell minted it: the cell's registrations
+/// are numbered modulo 256. Its upper 32 bits let any API entry point
+/// prove with one comparison that an id belongs to the calling thread's
+/// session before touching counter state, and they tell an id kept past
+/// its owner's unregistration from the next occupant's ids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TaggedSetId(u64);
 
 impl TaggedSetId {
-    /// Pack a `(slot, local)` pair into a tagged id.
+    /// Pack a `(slot, occupant, local)` triple into a tagged id.
     ///
-    /// Panics if a component exceeds its 32-bit field (2^32 threads
-    /// registered at once and 2^32 sets per session are far beyond any
-    /// real session table).
-    pub fn new(slot: usize, local: EventSetId) -> Self {
-        assert!((slot as u64) <= FIELD_MASK, "slot {slot} out of range");
+    /// Panics if `slot` or `local` exceeds its field (2^24 threads
+    /// registered at once, more than Linux's limit of 2^22 threads, and
+    /// 2^32 sets per session are far beyond any real session table).
+    pub fn new(slot: usize, occupant: u8, local: EventSetId) -> Self {
+        assert!((slot as u64) < 1 << SLOT_BITS, "slot {slot} out of range");
         assert!(
-            (local as u64) <= FIELD_MASK,
+            (local as u64) <= LOCAL_MASK,
             "local id {local} out of range"
         );
-        TaggedSetId(((slot as u64) << FIELD_BITS) | (local as u64))
+        let owner = (slot as u64) << u8::BITS | occupant as u64;
+        TaggedSetId(owner << LOCAL_BITS | local as u64)
     }
 
     /// Slot component of the tag.
     pub fn slot(self) -> usize {
-        (self.0 >> FIELD_BITS) as usize
+        (self.0 >> (u8::BITS + LOCAL_BITS)) as usize
+    }
+
+    /// Which registration of the slot's cell minted the id, modulo 256.
+    pub fn occupant(self) -> u8 {
+        (self.0 >> LOCAL_BITS) as u8
     }
 
     /// Session-local [`EventSetId`].
     pub fn local(self) -> EventSetId {
-        (self.0 & FIELD_MASK) as EventSetId
+        (self.0 & LOCAL_MASK) as EventSetId
+    }
+
+    /// Slot and occupant together: the upper 32 bits.
+    fn owner(self) -> u32 {
+        (self.0 >> LOCAL_BITS) as u32
     }
 
     /// Raw packed representation (e.g. for FFI transport).
@@ -116,8 +134,10 @@ impl TaggedSetId {
 /// `session` holds the occupant's private [`Papi`] behind a [`SeqCell`]:
 /// exclusive access is one uncontended compare-exchange for the owning
 /// token (and a spin for the rare cross-thread inspector). It is `None`
-/// while the cell is vacant, and `vacant` says so to observers that never
-/// take the session stamp — a vacant cell answers [`PapiError::NoEvst`].
+/// while the cell is vacant. `occupant` numbers the cell's registrations
+/// and says whether the cell is vacant, also to observers that never take
+/// the session stamp: an id minted by any other occupant, or looked up in
+/// a vacant cell, answers [`PapiError::NoEvst`].
 ///
 /// `published` is the seqlock snapshot area observers read without ever
 /// touching the exclusive word; `generation` stamps which programming
@@ -125,12 +145,25 @@ impl TaggedSetId {
 /// occupant to the next, so a slot never repeats a generation.
 struct ThreadCell<S: Substrate + Send> {
     session: SeqCell<Option<Papi<S>>>,
+    /// The current (or, with [`VACANT`] set, the last) occupant's number.
     /// Stored (`Release`) after each change of occupant and loaded
-    /// (`Acquire`) by observers, so one that finds the cell occupied also
-    /// sees the publication area as its occupant received it.
-    vacant: AtomicBool,
+    /// (`Acquire`) by observers, so one that finds the cell held by an
+    /// id's occupant also sees the publication area as that occupant
+    /// received it.
+    occupant: AtomicU32,
     published: PublishedCounts,
     generation: AtomicU64,
+}
+
+/// Set in [`ThreadCell::occupant`] while the cell has no occupant, so a
+/// vacant cell matches no id's occupant number.
+const VACANT: u32 = 1 << u8::BITS;
+
+impl<S: Substrate + Send> ThreadCell<S> {
+    /// Whether the cell is occupied by the occupant that minted `id`.
+    fn holds(&self, id: TaggedSetId) -> bool {
+        self.occupant.load(Ordering::Acquire) == id.occupant() as u32
+    }
 }
 
 /// Segment `k` of the table: `2^k` cells, created together when the
@@ -138,12 +171,12 @@ struct ThreadCell<S: Substrate + Send> {
 type Segment<S> = OnceLock<Box<[Arc<ThreadCell<S>>]>>;
 
 /// The flat, append-only session table: slot `i` is entry `i + 1 - 2^k`
-/// of segment `k = ilog2(i + 1)`, and 32 segments cover every slot tag
+/// of segment `k = ilog2(i + 1)`, and 24 segments cover every slot tag
 /// but the last. Segments and cells are only ever added, under the
 /// registration lock, and never move, so lock-free readers index the
 /// table directly.
 struct SlotTable<S: Substrate + Send> {
-    segments: [Segment<S>; FIELD_BITS as usize],
+    segments: [Segment<S>; SLOT_BITS as usize],
 }
 
 impl<S: Substrate + Send> SlotTable<S> {
@@ -166,7 +199,8 @@ impl<S: Substrate + Send> SlotTable<S> {
         let vacant = || {
             Arc::new(ThreadCell {
                 session: SeqCell::new(None),
-                vacant: AtomicBool::new(true),
+                // Numbered as if occupant 255 had left: the first is 0.
+                occupant: AtomicU32::new(VACANT | u8::MAX as u32),
                 published: PublishedCounts::default(),
                 generation: AtomicU64::new(0),
             })
@@ -288,8 +322,10 @@ impl<S: Substrate + Send> ThreadedPapi<S> {
         // With no slot free, every created slot is occupied.
         let slot = reg.free.pop().unwrap_or(reg.threads.len());
         let cell = self.table.cell_or_insert(slot).clone();
+        // The VACANT bit lies above the number, so the cast drops it.
+        let occupant = (cell.occupant.load(Ordering::Relaxed) as u8).wrapping_add(1);
         *cell.session.lock() = Some(session);
-        cell.vacant.store(false, Ordering::Release);
+        cell.occupant.store(occupant as u32, Ordering::Release);
         reg.threads.insert(tid);
         drop(reg);
         if let Some(obs) = &self.obs {
@@ -299,6 +335,7 @@ impl<S: Substrate + Send> ThreadedPapi<S> {
         Ok(PapiThread {
             cell,
             slot,
+            owner: TaggedSetId::new(slot, occupant, 0).owner(),
             tid,
             obs: self.obs.clone(),
         })
@@ -347,7 +384,7 @@ impl<S: Substrate + Send> ThreadedPapi<S> {
             .take()
             .expect("a live token's cell always holds its session");
         drop(guard);
-        token.cell.vacant.store(true, Ordering::Release);
+        token.cell.occupant.fetch_or(VACANT, Ordering::Release);
         reg.threads.remove(&token.tid);
         reg.free.push(token.slot);
         drop(reg);
@@ -364,7 +401,7 @@ impl<S: Substrate + Send> ThreadedPapi<S> {
     /// lookup is lock-free (an index into the table); entering the
     /// session spins on its sequence stamp until the owner is quiescent.
     /// Fails with [`PapiError::NoEvst`] when the slot is vacant or was
-    /// never created.
+    /// never created, or when `id` was minted by another occupant.
     ///
     /// This is the cross-thread escape hatch (inspection, third-party
     /// mutation); it *excludes* the owner while `f` runs. Pure observers
@@ -380,14 +417,20 @@ impl<S: Substrate + Send> ThreadedPapi<S> {
             .cell(id.slot())
             .ok_or(PapiError::NoEvst(id.local()))?;
         let mut guard = cell.session.lock();
-        let session = guard.as_mut().ok_or(PapiError::NoEvst(id.local()))?;
+        // Checked inside the session: a session found here was installed
+        // after its predecessor marked the cell vacant, so an earlier
+        // occupant's id cannot match.
+        let session = guard
+            .as_mut()
+            .filter(|_| cell.holds(id))
+            .ok_or(PapiError::NoEvst(id.local()))?;
         Ok(f(session))
     }
 
     /// Wait-free observation of the latest counter values the owning
-    /// thread published for `id`'s session: an index into the table, a
-    /// vacancy flag load and a seqlock snapshot copy. Never blocks the
-    /// owner and is never blocked *by* the owner — a torn copy (owner
+    /// thread published for `id`'s session: an index into the table, an
+    /// occupant check and a seqlock snapshot copy. Never blocks the owner
+    /// and is never blocked *by* the owner — a torn copy (owner
     /// mid-publish) retries the copy, not the session.
     ///
     /// The snapshot's `generation` changes whenever the owner reprograms
@@ -397,13 +440,14 @@ impl<S: Substrate + Send> ThreadedPapi<S> {
     /// monotone events.
     ///
     /// Fails with [`PapiError::NoEvst`] for a vacant or never-created
-    /// slot and [`PapiError::NotRun`] when the owner has not published
-    /// since the last reprogram (e.g. the set is stopped).
+    /// slot or an id minted by another occupant, and
+    /// [`PapiError::NotRun`] when the owner has not published since the
+    /// last reprogram (e.g. the set is stopped).
     pub fn snapshot_counts(&self, id: TaggedSetId) -> Result<CountSnapshot> {
         let cell = self
             .table
             .cell(id.slot())
-            .filter(|cell| !cell.vacant.load(Ordering::Acquire))
+            .filter(|cell| cell.holds(id))
             .ok_or(PapiError::NoEvst(id.local()))?;
         cell.published.snapshot().ok_or(PapiError::NotRun)
     }
@@ -419,6 +463,8 @@ impl<S: Substrate + Send> ThreadedPapi<S> {
 pub struct PapiThread<S: Substrate + Send> {
     cell: Arc<ThreadCell<S>>,
     slot: usize,
+    /// The upper 32 bits of every id this token mints.
+    owner: u32,
     tid: OsThreadId,
     obs: Option<papi_obs::ObsHandle>,
 }
@@ -446,14 +492,15 @@ impl<S: Substrate + Send> PapiThread<S> {
         self.slot
     }
 
-    /// Tag a session-local id with this thread's slot.
+    /// Tag a session-local id with this thread's slot and occupant.
     fn tag(&self, local: EventSetId) -> TaggedSetId {
-        TaggedSetId::new(self.slot, local)
+        // The low byte of `owner` is the occupant number.
+        TaggedSetId::new(self.slot, self.owner as u8, local)
     }
 
     /// Untag `id`, proving it belongs to this thread's session.
     fn check(&self, id: TaggedSetId) -> Result<EventSetId> {
-        if id.slot() == self.slot {
+        if id.owner() == self.owner {
             Ok(id.local())
         } else {
             if let Some(obs) = &self.obs {
@@ -654,13 +701,14 @@ mod tests {
 
     #[test]
     fn tagged_id_roundtrip() {
-        for &(slot, local) in &[
-            (0usize, 0usize),
-            (FIELD_MASK as usize, FIELD_MASK as usize),
-            (7, 11),
+        for &(slot, occupant, local) in &[
+            (0usize, 0u8, 0usize),
+            ((1 << SLOT_BITS) - 1, u8::MAX, LOCAL_MASK as usize),
+            (7, 3, 11),
         ] {
-            let id = TaggedSetId::new(slot, local);
+            let id = TaggedSetId::new(slot, occupant, local);
             assert_eq!(id.slot(), slot);
+            assert_eq!(id.occupant(), occupant);
             assert_eq!(id.local(), local);
             assert_eq!(TaggedSetId::from_raw(id.raw()), id);
         }
@@ -728,7 +776,7 @@ mod tests {
         let token = pool.register_thread().unwrap();
         let set = token.create_eventset();
         // Forge an id tagged for a different slot.
-        let foreign = TaggedSetId::new(set.slot() + 1, set.local());
+        let foreign = TaggedSetId::new(set.slot() + 1, set.occupant(), set.local());
         for err in [
             token.start(foreign).unwrap_err(),
             token.read_into(foreign, &mut [0i64; 4]).unwrap_err(),
@@ -752,7 +800,7 @@ mod tests {
         };
         let token = pool.register_thread().unwrap();
         let set = token.create_eventset();
-        let foreign = TaggedSetId::new(set.slot() + 1, set.local());
+        let foreign = TaggedSetId::new(set.slot() + 1, set.occupant(), set.local());
         assert!(token.start(foreign).is_err());
         let obs = pool.obs().unwrap();
         assert_eq!(obs.get(papi_obs::Counter::CrossThreadDenied), 1);
@@ -794,7 +842,7 @@ mod tests {
             .unwrap();
         assert_eq!(n, 1);
         // A vacant slot is a NoEvst error, not a panic.
-        let vacant = TaggedSetId::new(set.slot() + 1, 0);
+        let vacant = TaggedSetId::new(set.slot() + 1, 0, 0);
         assert!(pool.with_session_of(vacant, |_| ()).is_err());
         // Every raw id names a slot: a forged one is missing, not invalid.
         let forged = TaggedSetId::from_raw(u64::MAX);
@@ -868,12 +916,16 @@ mod tests {
 
     #[test]
     fn generation_never_repeats_across_occupants_of_a_slot() {
-        // A reused slot reuses its ids too, so an observer holding one
-        // can tell that the counts restarted only by the generation.
+        // A reused slot continues its generation, so no occupant's
+        // publication can pass for an earlier one's.
         let pool = mock_pool();
         let (first_id, first_gen) = occupy(&pool);
         let (second_id, second_gen) = occupy(&pool);
-        assert_eq!(second_id, first_id, "the vacated slot is reused in place");
+        assert_eq!(
+            second_id.slot(),
+            first_id.slot(),
+            "the vacated slot is reused in place"
+        );
         assert!(
             second_gen > first_gen,
             "generation {second_gen} after {first_gen}"
@@ -916,5 +968,34 @@ mod tests {
                 assert!(matches!(j.join().unwrap(), Ok(Ok(_))));
             }
         });
+    }
+
+    #[test]
+    fn stale_id_does_not_reach_the_next_occupant() {
+        // A thread keeps an id past its unregistration; the same thread
+        // registers again and lands on the same cell.
+        let pool = mock_pool();
+        let first = pool.register_thread().unwrap();
+        let old = first.create_eventset();
+        first.destroy_eventset(old).unwrap();
+        pool.unregister_thread(first).unwrap();
+        let second = pool.register_thread().unwrap();
+        let set = second.create_eventset();
+        second.add_event(set, Preset::TotIns.code()).unwrap();
+        second.start(set).unwrap();
+        second.read_into(set, &mut [0i64; 1]).unwrap();
+        assert_eq!(set.slot(), old.slot());
+        let inspected = pool.with_session_of(old, |p| p.num_events(old.local()));
+        assert!(
+            matches!(inspected, Err(PapiError::NoEvst(_))),
+            "with_session_of reached the next occupant: {inspected:?}"
+        );
+        assert!(matches!(
+            pool.snapshot_counts(old),
+            Err(PapiError::NoEvst(_))
+        ));
+        assert!(matches!(second.num_events(old), Err(PapiError::Inval(_))));
+        // The current occupant's own id still answers.
+        assert_eq!(pool.snapshot_counts(set).unwrap().len, 1);
     }
 }

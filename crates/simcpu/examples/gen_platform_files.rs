@@ -1,10 +1,10 @@
 //! Regenerate the checked-in `platforms/*.toml` model files in canonical
 //! form from the in-memory built-in specs.
 //!
-//! The files were originally generated from the pre-refactor Rust
-//! constructors (now snapshotted test-only in `platform::legacy`); since the
+//! The files are the only definitions of the built-in platforms. Since the
 //! renderer round-trips exactly, re-running this is idempotent and serves as
-//! a canonicalizer after hand edits.
+//! a canonicalizer after hand edits; `tests/spec_digest.txt` then shows
+//! which fields an edit changed.
 //!
 //!     cargo run -p simcpu --example gen_platform_files
 

@@ -164,8 +164,6 @@ impl PlatformSpec {
 pub const NATIVE_MASK: u32 = 0x4000_0000;
 
 pub mod files;
-#[cfg(test)]
-pub(crate) mod legacy;
 
 use std::sync::OnceLock;
 
@@ -303,6 +301,28 @@ mod tests {
         assert!(platform_by_name("sim-x86").is_some());
         assert!(platform_by_name("sim-power3").is_some());
         assert!(platform_by_name("vax").is_none());
+        // Every built-in resolves in its dashed, colon and upper-case
+        // spellings.
+        for name in [
+            "sim-x86",
+            "sim-alpha",
+            "sim-power3",
+            "sim-ia64",
+            "sim-t3e",
+            "sim-ultra",
+            "sim-mips",
+            "sim-generic",
+        ] {
+            for query in [
+                name.to_string(),
+                name.replacen('-', ":", 1),
+                name.to_uppercase(),
+            ] {
+                let found =
+                    platform_by_name(&query).unwrap_or_else(|| panic!("{query}: lookup failed"));
+                assert_eq!(found.name, name);
+            }
+        }
     }
 
     #[test]

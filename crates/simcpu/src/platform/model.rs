@@ -775,6 +775,21 @@ mod tests {
         }
     }
 
+    /// Every embedded built-in file is the canonical render of its own
+    /// parse, byte for byte: no hand drift from the renderer's layout.
+    #[test]
+    fn checked_in_files_are_canonical_renders() {
+        for (name, text) in crate::platform::files::BUILTIN {
+            let spec = parse_platform(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(
+                *text,
+                render_platform(&spec),
+                "platforms/{name}.toml is not the canonical render; \
+                 re-run `cargo run -p simcpu --example gen_platform_files`"
+            );
+        }
+    }
+
     #[test]
     fn formula_syntax() {
         assert_eq!(

@@ -18,7 +18,7 @@
 
 use crate::profile_data::{Profile, RegionRow};
 use papi_core::{AppExit, Papi, PapiError, Result, SimSubstrate};
-use papi_tools::Dynaprof;
+use papi_tools::{start_or_multiplex, Dynaprof};
 use simcpu::{Machine, PlatformSpec, Program, ThreadId};
 use std::collections::HashMap;
 
@@ -59,14 +59,7 @@ pub fn profile_functions(
 
     let set = papi.create_eventset();
     papi.add_events(set, metrics)?;
-    match papi.start(set) {
-        Ok(()) => {}
-        Err(PapiError::Cnflct) => {
-            papi.set_multiplex(set)?;
-            papi.start(set)?;
-        }
-        Err(e) => return Err(e),
-    }
+    start_or_multiplex(&mut papi, set)?;
 
     let k = metrics.len();
     let mut rows: Vec<RegionRow> = functions

@@ -8,6 +8,7 @@
 //! counts or from a [`Profile`](crate::profile_data::Profile) column pair.
 
 use papi_core::{Papi, PapiError, Preset, Result, Substrate};
+use papi_tools::start_or_multiplex;
 use std::collections::BTreeSet;
 
 /// A named event ratio `scale * num / den`.
@@ -197,14 +198,7 @@ pub fn measure<S: Substrate>(
     let codes: Vec<u32> = presets.iter().map(|p| p.code()).collect();
     let set = papi.create_eventset();
     papi.add_events(set, &codes)?;
-    match papi.start(set) {
-        Ok(()) => {}
-        Err(PapiError::Cnflct) => {
-            papi.set_multiplex(set)?;
-            papi.start(set)?;
-        }
-        Err(e) => return Err(e),
-    }
+    start_or_multiplex(papi, set)?;
     papi.run_app()?;
     let counts = papi.stop(set)?;
     let _ = papi.destroy_eventset(set);

@@ -79,7 +79,7 @@ impl Profile {
         let (ia, ib) = (self.metric_index(a)?, self.metric_index(b)?);
         let xs: Vec<f64> = self.rows.iter().map(|r| r.excl[ia] as f64).collect();
         let ys: Vec<f64> = self.rows.iter().map(|r| r.excl[ib] as f64).collect();
-        pearson(&xs, &ys)
+        papi_tools::pearson(&xs, &ys)
     }
 
     /// Per-region ratio of two metrics (exclusive), e.g. misses per load.
@@ -150,22 +150,6 @@ impl Profile {
     pub fn from_json(s: &str) -> std::result::Result<Profile, JsonError> {
         json::from_str(s)
     }
-}
-
-pub(crate) fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
-    let n = xs.len() as f64;
-    if xs.len() != ys.len() || xs.len() < 2 {
-        return None;
-    }
-    let mx = xs.iter().sum::<f64>() / n;
-    let my = ys.iter().sum::<f64>() / n;
-    let cov: f64 = xs.iter().zip(ys).map(|(x, y)| (x - mx) * (y - my)).sum();
-    let vx: f64 = xs.iter().map(|x| (x - mx).powi(2)).sum();
-    let vy: f64 = ys.iter().map(|y| (y - my).powi(2)).sum();
-    if vx == 0.0 || vy == 0.0 {
-        return None;
-    }
-    Some(cov / (vx * vy).sqrt())
 }
 
 #[cfg(test)]
@@ -246,13 +230,5 @@ mod tests {
         let txt = p.render();
         assert!(txt.contains("hot"));
         assert!(txt.contains("PAPI_L1_DCM"));
-    }
-
-    #[test]
-    fn pearson_edge_cases() {
-        assert!(pearson(&[1.0], &[2.0]).is_none());
-        assert!(pearson(&[1.0, 1.0], &[2.0, 3.0]).is_none()); // zero variance
-        let r = pearson(&[1.0, 2.0, 3.0], &[3.0, 2.0, 1.0]).unwrap();
-        assert!((r + 1.0).abs() < 1e-9);
     }
 }

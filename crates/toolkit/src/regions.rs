@@ -13,6 +13,7 @@
 
 use crate::profile_data::{Profile, RegionRow};
 use papi_core::{EventSetId, Papi, PapiError, Result, Substrate};
+use papi_tools::start_or_multiplex;
 use std::collections::HashMap;
 
 struct Frame {
@@ -54,14 +55,7 @@ impl Regions {
             .collect::<Result<Vec<_>>>()?;
         let set = papi.create_eventset();
         papi.add_events(set, metrics)?;
-        match papi.start(set) {
-            Ok(()) => {}
-            Err(PapiError::Cnflct) => {
-                papi.set_multiplex(set)?;
-                papi.start(set)?;
-            }
-            Err(e) => return Err(e),
-        }
+        start_or_multiplex(papi, set)?;
         Ok(Regions {
             set,
             metric_names,
@@ -90,16 +84,17 @@ impl Regions {
 
     /// Leave the innermost region, which must be `region` (enforced — the
     /// bracketing discipline SvPablo's source instrumentation guarantees).
+    /// A refused call changes nothing: the open region stays open.
     pub fn end<S: Substrate>(&mut self, papi: &mut Papi<S>, region: &str) -> Result<()> {
-        let values = papi.read(self.set)?;
-        let now = papi.get_real_ns();
-        let fr = self
-            .stack
-            .pop()
-            .ok_or(PapiError::Inval("region end without begin"))?;
-        if fr.region != region {
+        let Some(top) = self.stack.last() else {
+            return Err(PapiError::Inval("region end without begin"));
+        };
+        if top.region != region {
             return Err(PapiError::Inval("mismatched region nesting"));
         }
+        let values = papi.read(self.set)?;
+        let now = papi.get_real_ns();
+        let fr = self.stack.pop().expect("innermost region checked above");
         let k = self.k();
         if !self.rows.contains_key(region) {
             self.order.push(region.to_string());
@@ -242,5 +237,19 @@ mod tests {
         let mut reg = Regions::start(&mut papi, &[Preset::TotCyc.code()]).unwrap();
         reg.begin(&mut papi, "a").unwrap();
         assert!(matches!(reg.finish(&mut papi), Err(PapiError::Inval(_))));
+    }
+
+    /// A refused mismatched `end` keeps the open region: the matching `end`
+    /// still closes it, and `finish` reports its row.
+    #[test]
+    fn mismatched_end_keeps_the_open_region() {
+        let mut papi = papi_with_phased(4);
+        let mut reg = Regions::start(&mut papi, &[Preset::TotCyc.code()]).unwrap();
+        reg.begin(&mut papi, "a").unwrap();
+        assert!(matches!(reg.end(&mut papi, "b"), Err(PapiError::Inval(_))));
+        reg.end(&mut papi, "a").unwrap();
+        let prof = reg.finish(&mut papi).unwrap();
+        assert_eq!(prof.rows.len(), 1);
+        assert_eq!(prof.row("a").unwrap().calls, 1);
     }
 }

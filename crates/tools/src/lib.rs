@@ -42,8 +42,44 @@ pub use validate::{
     run_matrix, Cell, Mode, ValidateConfig, VALIDATION_PRESETS,
 };
 
-use papi_core::SubstrateRegistry;
+use papi_core::{EventSetId, Papi, PapiError, Substrate, SubstrateRegistry};
 use simcpu::PlatformSpec;
+
+/// Start `set`, falling back to explicit multiplexing when the platform
+/// cannot count its events together (`Cnflct`). Returns whether the set
+/// multiplexes.
+pub fn start_or_multiplex<S: Substrate>(
+    papi: &mut Papi<S>,
+    set: EventSetId,
+) -> papi_core::Result<bool> {
+    match papi.start(set) {
+        Ok(()) => Ok(false),
+        Err(PapiError::Cnflct) => {
+            papi.set_multiplex(set)?;
+            papi.start(set)?;
+            Ok(true)
+        }
+        Err(e) => Err(e),
+    }
+}
+
+/// Pearson correlation of two series of equal length; `None` for fewer
+/// than two points or a series with no variance.
+pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
+    let n = xs.len() as f64;
+    if xs.len() != ys.len() || xs.len() < 2 {
+        return None;
+    }
+    let mx = xs.iter().sum::<f64>() / n;
+    let my = ys.iter().sum::<f64>() / n;
+    let cov: f64 = xs.iter().zip(ys).map(|(x, y)| (x - mx) * (y - my)).sum();
+    let vx: f64 = xs.iter().map(|x| (x - mx).powi(2)).sum();
+    let vy: f64 = ys.iter().map(|y| (y - my).powi(2)).sum();
+    if vx == 0.0 || vy == 0.0 {
+        return None;
+    }
+    Some(cov / (vx * vy).sqrt())
+}
 
 /// Every backend the tools know how to open: the built-in simulated
 /// platforms (`sim:x86` ... `sim:generic`) plus the perfctr kernel-patch
@@ -92,4 +128,17 @@ pub fn render_substrate_list(reg: &SubstrateRegistry) -> String {
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn pearson_edge_cases() {
+        assert!(pearson(&[1.0], &[2.0]).is_none());
+        assert!(pearson(&[1.0, 1.0], &[2.0, 3.0]).is_none()); // zero variance
+        let r = pearson(&[1.0, 2.0, 3.0], &[3.0, 2.0, 1.0]).unwrap();
+        assert!((r + 1.0).abs() < 1e-9);
+    }
 }

@@ -182,17 +182,7 @@ fn run_loaded<S: Substrate>(
         let code = papi.event_name_to_code(ov_name)?;
         papi.overflow(set, code, *threshold, Box::new(|_| {}))?;
     }
-    // Try direct counting; on conflict fall back to (explicit) multiplexing.
-    let mut multiplexed = false;
-    match papi.start(set) {
-        Ok(()) => {}
-        Err(PapiError::Cnflct) => {
-            papi.set_multiplex(set)?;
-            papi.start(set)?;
-            multiplexed = true;
-        }
-        Err(e) => return Err(e),
-    }
+    let multiplexed = crate::start_or_multiplex(papi, set)?;
     let values = if let Some(addr) = &opts.push_aggd {
         // Stream incremental internal-stats snapshots while the app runs:
         // chunked execution, one push per pause, gapless close at the end.

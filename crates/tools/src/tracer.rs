@@ -56,29 +56,13 @@ impl Timeline {
     pub fn correlation(&self, a: &str, b: &str) -> Option<f64> {
         let ia = self.events.iter().position(|e| e == a)?;
         let ib = self.events.iter().position(|e| e == b)?;
-        let xs: Vec<f64> = self
-            .intervals
-            .iter()
-            .map(|iv| iv.deltas[ia] as f64)
-            .collect();
-        let ys: Vec<f64> = self
-            .intervals
-            .iter()
-            .map(|iv| iv.deltas[ib] as f64)
-            .collect();
-        let n = xs.len() as f64;
-        if n < 2.0 {
-            return None;
-        }
-        let mx = xs.iter().sum::<f64>() / n;
-        let my = ys.iter().sum::<f64>() / n;
-        let cov: f64 = xs.iter().zip(&ys).map(|(x, y)| (x - mx) * (y - my)).sum();
-        let vx: f64 = xs.iter().map(|x| (x - mx).powi(2)).sum();
-        let vy: f64 = ys.iter().map(|y| (y - my).powi(2)).sum();
-        if vx == 0.0 || vy == 0.0 {
-            return None;
-        }
-        Some(cov / (vx * vy).sqrt())
+        let series = |i: usize| -> Vec<f64> {
+            self.intervals
+                .iter()
+                .map(|iv| iv.deltas[i] as f64)
+                .collect()
+        };
+        crate::pearson(&series(ia), &series(ib))
     }
 
     /// Export the timeline (JSON stands in for the ALOG/SDDF/Vampir formats
@@ -139,14 +123,7 @@ impl Tracer {
             .collect::<Result<Vec<_>>>()?;
         let set = papi.create_eventset();
         papi.add_events(set, events)?;
-        match papi.start(set) {
-            Ok(()) => {}
-            Err(PapiError::Cnflct) => {
-                papi.set_multiplex(set)?;
-                papi.start(set)?;
-            }
-            Err(e) => return Err(e),
-        }
+        crate::start_or_multiplex(papi, set)?;
         let t0 = papi.get_real_ns();
         let mut last_t = t0;
         let mut last_v = vec![0i64; events.len()];

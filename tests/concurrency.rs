@@ -272,9 +272,13 @@ fn churn_keeps_slots_dense_under_concurrent_snapshots() {
         let observer = s.spawn(|| {
             while !done.load(Ordering::Relaxed) {
                 for slot in 0..=CHURNERS {
-                    // Any answer is fine; a published one is whole.
-                    if let Ok(snap) = pool.snapshot_counts(TaggedSetId::new(slot, 0)) {
-                        assert_eq!(snap.len, 1, "half-published snapshot");
+                    // Every occupant number, so the slot's current one too.
+                    for occupant in 0..=u8::MAX {
+                        // Any answer is fine; a published one is whole.
+                        let id = TaggedSetId::new(slot, occupant, 0);
+                        if let Ok(snap) = pool.snapshot_counts(id) {
+                            assert_eq!(snap.len, 1, "half-published snapshot");
+                        }
                     }
                 }
             }
