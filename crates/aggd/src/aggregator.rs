@@ -76,12 +76,16 @@ pub struct SeriesQuantiles {
 pub struct AggdStats {
     /// Frames received (every outcome).
     pub frames_in: u64,
+    /// Frames applied exactly once, read through [`AggdStats::applied`].
+    applied: u64,
     /// Duplicates / beyond-window frames dropped.
     pub dup_dropped: u64,
     /// Applied frames that arrived out of order.
     pub out_of_order: u64,
     /// Frames shed by per-tenant quotas.
     pub dropped_frames: u64,
+    /// Frames for a tenant id not bound on their connection.
+    pub unknown_tenant: u64,
     /// Non-empty windows overwritten by newer ones.
     pub evicted_windows: u64,
     /// Applied deltas older than the ring horizon.
@@ -113,15 +117,19 @@ pub struct AggdStats {
 impl AggdStats {
     /// Frames applied exactly once.
     pub fn applied(&self) -> u64 {
-        self.frames_in - self.dup_dropped - self.dropped_frames
+        self.applied
     }
 
     /// The zero-silent-drop identity over the whole daemon: every decoded
-    /// frame was applied, dropped as a duplicate or shed by a quota.
+    /// frame was applied, dropped as a duplicate, shed by a quota or
+    /// refused for an unbound tenant, each counted where it happened.
     /// Messages that never decoded are counted apart, in
-    /// `malformed_frames` and `oversize_frames`.
+    /// `malformed_frames` and `oversize_frames`.  The counters are read
+    /// one by one, so only a snapshot taken while no frame is in flight is
+    /// sure to hold it.
     pub fn accounted(&self) -> bool {
-        self.frames_in >= self.dup_dropped + self.dropped_frames
+        self.frames_in
+            == self.applied + self.dup_dropped + self.dropped_frames + self.unknown_tenant
     }
 }
 
@@ -135,6 +143,7 @@ impl ToJson for AggdStats {
                 ("aggd.dup_dropped", self.dup_dropped),
                 ("aggd.out_of_order", self.out_of_order),
                 ("aggd.dropped_frames", self.dropped_frames),
+                ("aggd.unknown_tenant", self.unknown_tenant),
                 ("aggd.evicted_windows", self.evicted_windows),
                 ("aggd.stale_windows", self.stale_windows),
                 ("aggd.unknown_series", self.unknown_series),
@@ -157,9 +166,11 @@ impl FromJson for AggdStats {
     fn from_json(v: &Value) -> Result<Self, JsonError> {
         Ok(AggdStats {
             frames_in: v.field("aggd.frames_in")?,
+            applied: v.field("aggd.applied")?,
             dup_dropped: v.field("aggd.dup_dropped")?,
             out_of_order: v.field("aggd.out_of_order")?,
             dropped_frames: v.field("aggd.dropped_frames")?,
+            unknown_tenant: v.field("aggd.unknown_tenant")?,
             evicted_windows: v.field("aggd.evicted_windows")?,
             stale_windows: v.field("aggd.stale_windows")?,
             unknown_series: v.field("aggd.unknown_series")?,
@@ -334,9 +345,8 @@ impl Aggregator {
             }
             Frame::RegSeries { tid, sid, name } => {
                 let Some(ct) = ctx.tenants.get_mut(*tid as usize).and_then(|t| t.as_mut()) else {
-                    self.obs.inc(Counter::AggdFramesIn);
                     self.obs.inc(Counter::AggdUnknownSeries);
-                    return IngestOutcome::UnknownTenant;
+                    return self.unknown_tenant();
                 };
                 let idx = ct
                     .tenant
@@ -356,8 +366,7 @@ impl Aggregator {
                 deltas,
             } => {
                 let Some(ct) = ctx.tenant(*tid) else {
-                    self.obs.inc(Counter::AggdFramesIn);
-                    return IngestOutcome::UnknownTenant;
+                    return self.unknown_tenant();
                 };
                 ct.tenant.last_active.store(
                     self.activity.fetch_add(1, Ordering::Relaxed),
@@ -375,8 +384,7 @@ impl Aggregator {
                 buckets,
             } => {
                 let Some(ct) = ctx.tenant(*tid) else {
-                    self.obs.inc(Counter::AggdFramesIn);
-                    return IngestOutcome::UnknownTenant;
+                    return self.unknown_tenant();
                 };
                 ct.tenant.last_active.store(
                     self.activity.fetch_add(1, Ordering::Relaxed),
@@ -392,8 +400,7 @@ impl Aggregator {
                 complete,
             } => {
                 let Some(ct) = ctx.tenant(*tid) else {
-                    self.obs.inc(Counter::AggdFramesIn);
-                    return IngestOutcome::UnknownTenant;
+                    return self.unknown_tenant();
                 };
                 ct.tenant
                     .close_source(&self.obs, *source, *frames_sent, *complete);
@@ -401,6 +408,13 @@ impl Aggregator {
             }
             Frame::Flush => IngestOutcome::Applied,
         }
+    }
+
+    /// Count a frame whose tenant id is not bound on its connection.
+    fn unknown_tenant(&self) -> IngestOutcome {
+        self.obs.inc(Counter::AggdFramesIn);
+        self.obs.inc(Counter::AggdUnknownTenant);
+        IngestOutcome::UnknownTenant
     }
 
     /// Decode and apply one ingest payload (server receive path).  A
@@ -449,9 +463,11 @@ impl Aggregator {
         let bytes: u64 = map.values().map(|t| t.approx_bytes() as u64).sum();
         AggdStats {
             frames_in: self.obs.get(Counter::AggdFramesIn),
+            applied: self.obs.get(Counter::AggdApplied),
             dup_dropped: self.obs.get(Counter::AggdDupDropped),
             out_of_order: self.obs.get(Counter::AggdOutOfOrder),
             dropped_frames: self.obs.get(Counter::AggdDroppedFrames),
+            unknown_tenant: self.obs.get(Counter::AggdUnknownTenant),
             evicted_windows: self.obs.get(Counter::AggdEvictedWindows),
             stale_windows: self.obs.get(Counter::AggdStaleWindows),
             unknown_series: self.obs.get(Counter::AggdUnknownSeries),
@@ -797,5 +813,28 @@ mod tests {
             IngestOutcome::UnknownTenant
         );
         assert_eq!(agg.stats().frames_in, 1);
+        assert_eq!(agg.stats().applied(), 0);
+        assert_eq!(agg.stats().unknown_tenant, 1);
+        assert!(agg.stats().accounted());
+    }
+
+    /// `accounted()` is an equality over separately counted outcomes, so
+    /// a frame that reached no outcome breaks it.
+    #[test]
+    fn a_frame_with_no_outcome_is_not_accounted() {
+        let whole = AggdStats {
+            frames_in: 4,
+            applied: 1,
+            dup_dropped: 1,
+            dropped_frames: 1,
+            unknown_tenant: 1,
+            ..AggdStats::default()
+        };
+        assert!(whole.accounted());
+        let lost = AggdStats {
+            frames_in: 5,
+            ..whole
+        };
+        assert!(!lost.accounted());
     }
 }

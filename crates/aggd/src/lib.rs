@@ -44,4 +44,7 @@ pub use proto::{Frame, FrameBuf, ProtoError};
 pub use push::SnapshotPusher;
 pub use server::{AggdClient, AggdServer};
 pub use tenant::{IngestOutcome, Tenant};
-pub use workload::{reconcile, run_workload, ReconcileReport, WorkloadCfg, WorkloadReport};
+pub use workload::{
+    ingest_bench, reconcile, run_workload, IngestBench, ReconcileReport, WorkloadCfg,
+    WorkloadReport,
+};

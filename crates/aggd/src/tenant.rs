@@ -210,6 +210,7 @@ impl TenantState {
             obs.inc(Counter::AggdDroppedFrames);
             return IngestOutcome::QuotaDropped;
         }
+        obs.inc(Counter::AggdApplied);
         if admitted == IngestOutcome::OutOfOrder {
             obs.inc(Counter::AggdOutOfOrder);
         }

@@ -17,12 +17,15 @@
 //! `aggd.sources_incomplete` — reported, never silently missing.
 
 use crate::server::AggdClient;
+use crate::{AggdConfig, Aggregator, ConnCtx, FrameBuf};
 use papi_core::{Papi, Preset, SubstrateRegistry};
+use papi_obs::alloc_track::count_in;
 use papi_obs::LogHistogram;
 use simcpu::rng::SmallRng;
 use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
+use std::time::Instant;
 
 /// Workload shape.
 #[derive(Debug, Clone)]
@@ -341,6 +344,53 @@ pub fn run_workload(addr: SocketAddr, cfg: &WorkloadCfg) -> io::Result<WorkloadR
     Ok(merged)
 }
 
+/// The in-process ingest hot path (decode + anti-replay + ring apply),
+/// measured by [`ingest_bench`].
+#[derive(Debug, Clone, Copy)]
+pub struct IngestBench {
+    /// Wall nanoseconds per frame.
+    pub ns_per_frame: f64,
+    /// Heap allocations per frame; the steady state makes none.
+    pub allocs_per_frame: f64,
+    /// Approximate resident bytes of the one tenant afterwards.
+    pub bytes_per_tenant: u64,
+}
+
+/// Time the in-process ingest path on one tenant with four series:
+/// `frames` pre-encoded snapshot frames with distinct sequence numbers
+/// (none is a duplicate), the first 64 applied unmeasured as a warm-up,
+/// the rest timed under the counting allocator, which counts only in a
+/// binary that installs it.
+pub fn ingest_bench(tenant: &str, frames: u64) -> IngestBench {
+    let agg = Aggregator::new(AggdConfig::default());
+    let mut ctx = ConnCtx::new();
+    let mut fb = FrameBuf::new();
+    let mut ingest = |msg: &[u8]| {
+        agg.ingest(&mut ctx, &msg[4..])
+            .expect("a frame FrameBuf encoded decodes");
+    };
+    ingest(fb.bind_tenant(0, tenant));
+    for sid in 0..4u16 {
+        ingest(fb.reg_series(0, sid, &format!("s{sid}")));
+    }
+    let ring: Vec<Vec<u8>> = (0..frames)
+        .map(|seq| {
+            let deltas = [(0u16, 3u64), (1, 5), ((seq % 4) as u16, 7)];
+            fb.snapshot(0, 1, seq, seq * 257, &deltas).to_vec()
+        })
+        .collect();
+    let (warm, timed) = ring.split_at(ring.len().min(64));
+    warm.iter().for_each(|msg| ingest(msg));
+    let t0 = Instant::now();
+    let ((), allocs) = count_in(|| timed.iter().for_each(|msg| ingest(msg)));
+    let n = timed.len().max(1) as f64;
+    IngestBench {
+        ns_per_frame: t0.elapsed().as_nanos() as f64 / n,
+        allocs_per_frame: allocs as f64 / n,
+        bytes_per_tenant: agg.stats().bytes_per_tenant,
+    }
+}
+
 /// Outcome of checking the daemon against the generator's ground truth.
 #[derive(Debug, Default)]
 pub struct ReconcileReport {
@@ -404,15 +454,15 @@ pub fn reconcile(client: &mut AggdClient, report: &WorkloadReport) -> io::Result
     }
     rec.stats = client.stats()?;
     // Zero silent drops: every frame in is applied or counted dropped.
-    let accounted = rec.stats.frames_in
-        == rec.stats.applied() + rec.stats.dup_dropped + rec.stats.dropped_frames;
-    if !accounted {
+    if !rec.stats.accounted() {
         rec.mismatches.push(format!(
-            "accounting identity broken: frames_in {} != applied {} + dup {} + dropped {}",
+            "accounting identity broken: frames_in {} != applied {} + dup {} + dropped {} \
+             + unknown tenant {}",
             rec.stats.frames_in,
             rec.stats.applied(),
             rec.stats.dup_dropped,
-            rec.stats.dropped_frames
+            rec.stats.dropped_frames,
+            rec.stats.unknown_tenant
         ));
     }
     if rec.stats.frames_in != report.unique_frames + report.dups_injected {

@@ -20,11 +20,10 @@
 //! workload is >= 1000 sessions across >= 8 threads.
 
 use papi_aggd::{
-    reconcile, run_workload, AggdClient, AggdConfig, AggdServer, Aggregator, ConnCtx, FrameBuf,
+    ingest_bench, reconcile, run_workload, AggdClient, AggdConfig, AggdServer, Aggregator,
     WorkloadCfg,
 };
 use papi_bench::banner;
-use papi_obs::alloc_track::count_in;
 use std::time::Instant;
 
 fn run_and_reconcile(label: &str, cfg: &WorkloadCfg) -> (f64, u64) {
@@ -68,39 +67,6 @@ fn run_and_reconcile(label: &str, cfg: &WorkloadCfg) -> (f64, u64) {
     }
     server.shutdown();
     (wire_fps, sent)
-}
-
-/// In-process ingest hot path: pre-encoded frames through decode + apply.
-fn ingest_throughput(frames_n: u64) -> (f64, f64) {
-    let agg = Aggregator::new(AggdConfig::default());
-    let mut ctx = ConnCtx::new();
-    let mut fb = FrameBuf::new();
-    let bind = fb.bind_tenant(0, "bench").to_vec();
-    agg.ingest(&mut ctx, &bind[4..]).unwrap();
-    for sid in 0..4u16 {
-        let reg = fb.reg_series(0, sid, &format!("s{sid}")).to_vec();
-        agg.ingest(&mut ctx, &reg[4..]).unwrap();
-    }
-    let frames: Vec<Vec<u8>> = (0..frames_n)
-        .map(|seq| {
-            let deltas = [(0u16, 3u64), (1, 5), ((seq % 4) as u16, 7)];
-            fb.snapshot(0, 1, seq, seq * 257, &deltas).to_vec()
-        })
-        .collect();
-    for msg in frames.iter().take(64) {
-        agg.ingest(&mut ctx, &msg[4..]).unwrap();
-    }
-    let timed = frames.len().saturating_sub(64).max(1);
-    let t0 = Instant::now();
-    let ((), allocs) = count_in(|| {
-        for msg in frames.iter().skip(64) {
-            agg.ingest(&mut ctx, &msg[4..]).unwrap();
-        }
-    });
-    let ns_per_op = t0.elapsed().as_nanos() as f64 / timed as f64;
-    let allocs_per_op = allocs as f64 / timed as f64;
-    assert_eq!(allocs, 0, "steady-state frame ingest allocated");
-    (ns_per_op, allocs_per_op)
 }
 
 fn main() {
@@ -149,12 +115,16 @@ fn main() {
     };
     run_and_reconcile("chaos", &chaos);
 
-    let (ns_per_op, allocs_per_op) = ingest_throughput(if smoke { 2_000 } else { 200_000 });
+    let ingest = ingest_bench("bench", if smoke { 2_000 } else { 200_000 });
+    assert_eq!(
+        ingest.allocs_per_frame, 0.0,
+        "steady-state frame ingest allocated"
+    );
     println!(
         "\ningest hot path: {:.0} ns/frame ({:.2}M frames/sec), {:.2} allocs/frame",
-        ns_per_op,
-        1e3 / ns_per_op,
-        allocs_per_op
+        ingest.ns_per_frame,
+        1e3 / ingest.ns_per_frame,
+        ingest.allocs_per_frame
     );
     println!(
         "wire path     : {:.0} frames/sec over {} frames ({} threads, loopback TCP)",

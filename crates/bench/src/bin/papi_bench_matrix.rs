@@ -4,12 +4,14 @@
 //! ```text
 //! papi_bench_matrix --config benches/matrix.toml
 //!     [--baseline results/bench_matrix.json]   diff + exit 1 on regression
-//!     [--out PATH] [--txt PATH]                report destinations
-//!     [--no-out]                               run + print only
+//!     [--out PATH] [--txt PATH]                write the JSON / text report
 //!     [--smoke]                                tiny iters, assertions only
-//!     [--seed N] [--iters N]                   config overrides
 //!     [--json]                                 print the JSON document
 //! ```
+//!
+//! Reports are written only where `--out` and `--txt` point; re-record the
+//! golden with `--out results/bench_matrix.json --txt
+//! results/papi_bench_matrix.txt`.
 //!
 //! Exit codes: 0 clean · 1 regression or failed invariant · 2 usage,
 //! config or baseline error (a baseline that is not a report golden is
@@ -38,7 +40,7 @@ use std::process::exit;
 fn usage() -> ! {
     eprintln!(
         "usage: papi_bench_matrix --config PATH [--baseline PATH] [--out PATH] [--txt PATH]\n\
-         \x20                        [--no-out] [--smoke] [--seed N] [--iters N] [--json]"
+         \x20                        [--smoke] [--json]"
     );
     exit(2);
 }
@@ -47,13 +49,10 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut config_path: Option<PathBuf> = None;
     let mut baseline_path: Option<PathBuf> = None;
-    let mut out_path = PathBuf::from("results/bench_matrix.json");
-    let mut txt_path = PathBuf::from("results/papi_bench_matrix.txt");
-    let mut write_out = true;
+    let mut out_path: Option<PathBuf> = None;
+    let mut txt_path: Option<PathBuf> = None;
     let mut smoke = false;
     let mut json = false;
-    let mut seed_override: Option<u64> = None;
-    let mut iters_override: Option<u64> = None;
 
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -66,13 +65,10 @@ fn main() {
         match a.as_str() {
             "--config" => config_path = Some(PathBuf::from(next("a path"))),
             "--baseline" => baseline_path = Some(PathBuf::from(next("a path"))),
-            "--out" => out_path = PathBuf::from(next("a path")),
-            "--txt" => txt_path = PathBuf::from(next("a path")),
-            "--no-out" => write_out = false,
+            "--out" => out_path = Some(PathBuf::from(next("a path"))),
+            "--txt" => txt_path = Some(PathBuf::from(next("a path"))),
             "--smoke" => smoke = true,
             "--json" => json = true,
-            "--seed" => seed_override = next("a number").parse().ok(),
-            "--iters" => iters_override = next("a number").parse().ok(),
             _ => usage(),
         }
     }
@@ -87,34 +83,22 @@ fn main() {
             exit(2);
         }
     };
-    let mut cfg = match MatrixConfig::parse(&text) {
+    let cfg = match MatrixConfig::parse(&text) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("papi_bench_matrix: {}: {e}", config_path.display());
             exit(2);
         }
     };
-    if let Some(seed) = seed_override {
-        cfg.seed = seed;
-    }
-    if let Some(iters) = iters_override {
-        cfg.iters = iters;
-    }
     let mut specs = cfg.expand();
-    if let Some(seed) = seed_override {
-        for s in &mut specs {
-            s.seed = seed;
-        }
-    }
     if smoke {
         // Every cell still runs end to end (all assertions fire), but the
-        // measured phase is token-sized and nothing is recorded.
+        // measured phase is token-sized.
         for s in &mut specs {
             s.warmup = s.warmup.min(8);
             s.iters = s.iters.min(32);
             s.reps = 1;
         }
-        write_out = false;
     }
 
     // Read the baseline *before* any report writing can clobber it, and
@@ -172,10 +156,10 @@ fn main() {
         );
     }
 
-    if write_out {
-        write_report(&out_path, &doc);
-        write_report(&txt_path, &report);
-        println!("wrote {} and {}", out_path.display(), txt_path.display());
+    for (path, body) in [(out_path, &doc), (txt_path, &report)] {
+        if let Some(path) = path {
+            write_report(&path, body);
+        }
     }
 
     if let Some((path, rows)) = baseline {
@@ -216,6 +200,7 @@ fn write_report(path: &Path, body: &str) {
         eprintln!("papi_bench_matrix: write {}: {e}", path.display());
         exit(2);
     }
+    println!("wrote {}", path.display());
 }
 
 /// The zero-allocation steady-state guarantee, asserted matrix-wide.

@@ -9,10 +9,10 @@
 //!
 //! ```toml
 //! schema = 1
-//! [matrix]            # run-wide knobs (seed, warmup, iters, reps, ...)
-//! [gate]              # regression-gate thresholds
+//! [matrix]            # run-wide knobs (seed, warmup, iters, reps)
+//! [gate]              # regression-gate threshold
 //! [axes]              # default axis values inherited by every bench
-//! [[bench]]           # one benchmark; may override any axis or knob
+//! [[bench]]           # one benchmark; may override any axis
 //! name = "read_into"
 //! op = "read_into"
 //! ```
@@ -36,6 +36,9 @@ pub const CELL_EVENTS: [papi_core::Preset; 4] = [
     papi_core::Preset::LdIns,
     papi_core::Preset::SrIns,
 ];
+
+/// Multiplex rotation period of every mpx cell, in virtual cycles.
+pub const MPX_PERIOD: u64 = 5000;
 
 /// The measured operation of a benchmark cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,8 +139,6 @@ pub struct CellSpec {
     pub iters: u64,
     /// Repetitions; wall ns/op reports the minimum (best-of) repetition.
     pub reps: u32,
-    /// Multiplex rotation period in virtual cycles (mpx cells only).
-    pub mpx_period: u64,
     /// Regression-gate threshold: a cell fails the baseline diff when
     /// `current_vcyc / baseline_vcyc > gate_ratio`.
     pub gate_ratio: f64,
@@ -180,10 +181,6 @@ pub struct BenchDef {
     pub events: Vec<usize>,
     pub mpx: Vec<bool>,
     pub faults: Vec<String>,
-    pub iters: Option<u64>,
-    pub warmup: Option<u64>,
-    pub reps: Option<u32>,
-    pub gate_ratio: Option<f64>,
 }
 
 /// A parsed, validated matrix configuration.
@@ -193,7 +190,6 @@ pub struct MatrixConfig {
     pub warmup: u64,
     pub iters: u64,
     pub reps: u32,
-    pub mpx_period: u64,
     pub gate_ratio: f64,
     pub benches: Vec<BenchDef>,
 }
@@ -208,7 +204,7 @@ impl MatrixConfig {
             doc.single(name)
                 .map_or(Ok(Keys::default()), |v| Keys::read(&v, allowed))
         };
-        let run = section("matrix", &["seed", "warmup", "iters", "reps", "mpx_period"])?;
+        let run = section("matrix", &["seed", "warmup", "iters", "reps"])?;
         let gate = section("gate", &["max_ratio"])?;
         let axes = section("axes", &AXES)?;
         let d_subs = axes
@@ -264,10 +260,6 @@ impl MatrixConfig {
                 events: k.events.unwrap_or_else(|| d_events.clone()),
                 mpx: k.mpx.unwrap_or_else(|| d_mpx.clone()),
                 faults,
-                iters: k.iters,
-                warmup: k.warmup,
-                reps: k.reps,
-                gate_ratio: k.max_ratio,
             });
         }
         if benches.is_empty() {
@@ -278,7 +270,6 @@ impl MatrixConfig {
             warmup: run.warmup.unwrap_or(64),
             iters: run.iters.unwrap_or(2048),
             reps: run.reps.unwrap_or(1),
-            mpx_period: run.mpx_period.unwrap_or(5000),
             gate_ratio: gate.max_ratio.unwrap_or(1.5),
             benches,
         })
@@ -302,11 +293,10 @@ impl MatrixConfig {
                                     events,
                                     mpx,
                                     seed: self.seed,
-                                    warmup: b.warmup.unwrap_or(self.warmup),
-                                    iters: b.iters.unwrap_or(self.iters),
-                                    reps: b.reps.unwrap_or(self.reps),
-                                    mpx_period: self.mpx_period,
-                                    gate_ratio: b.gate_ratio.unwrap_or(self.gate_ratio),
+                                    warmup: self.warmup,
+                                    iters: self.iters,
+                                    reps: self.reps,
+                                    gate_ratio: self.gate_ratio,
                                 });
                             }
                         }
@@ -326,7 +316,7 @@ impl MatrixConfig {
 const AXES: [&str; 5] = ["substrates", "threads", "events", "mpx", "faults"];
 
 /// Every key a `[[bench]]` may set.
-const BENCH_KEYS: [&str; 11] = [
+const BENCH_KEYS: [&str; 7] = [
     "name",
     "op",
     "substrates",
@@ -334,10 +324,6 @@ const BENCH_KEYS: [&str; 11] = [
     "events",
     "mpx",
     "faults",
-    "iters",
-    "warmup",
-    "reps",
-    "max_ratio",
 ];
 
 /// The optional keys of `[matrix]`, `[gate]`, `[axes]` and `[[bench]]`,
@@ -348,7 +334,6 @@ struct Keys {
     warmup: Option<u64>,
     iters: Option<u64>,
     reps: Option<u32>,
-    mpx_period: Option<u64>,
     max_ratio: Option<f64>,
     substrates: Option<Vec<String>>,
     threads: Option<Vec<usize>>,
@@ -368,7 +353,6 @@ impl Keys {
             reps: v
                 .opt("reps", |v, k| v.ranged(k, 1, 1000))?
                 .map(|r| r as u32),
-            mpx_period: v.opt("mpx_period", positive)?,
             max_ratio: v.opt("max_ratio", ratio)?,
             substrates: v.opt("substrates", substrates)?,
             threads: v.opt("threads", |v, k| counts(v, k, 64))?,
@@ -519,6 +503,31 @@ mod tests {
             ("schema = 1\n", "no-benches", 0),
             ("schema = 1\n[nope]\n", "unknown-section", 2),
             ("schema = 1\n[matrix]\nbogus = 1\n", "unknown-key", 3),
+            (
+                "schema = 1\n[matrix]\nmpx_period = 5000\n",
+                "unknown-key",
+                3,
+            ),
+            (
+                "schema = 1\n[[bench]]\nname = \"a\"\nop = \"read\"\niters = 8\n",
+                "unknown-key",
+                5,
+            ),
+            (
+                "schema = 1\n[[bench]]\nname = \"a\"\nop = \"read\"\nwarmup = 8\n",
+                "unknown-key",
+                5,
+            ),
+            (
+                "schema = 1\n[[bench]]\nname = \"a\"\nop = \"read\"\nreps = 2\n",
+                "unknown-key",
+                5,
+            ),
+            (
+                "schema = 1\n[[bench]]\nname = \"a\"\nop = \"read\"\nmax_ratio = 2.0\n",
+                "unknown-key",
+                5,
+            ),
             ("schema = 1\n[matrix]\niters = 0\n", "int-range", 3),
             ("schema = 1\n[matrix]\niters = \"many\"\n", "bad-value", 3),
             ("schema = 1\n[gate]\nmax_ratio = 1.0\n", "bad-value", 3),

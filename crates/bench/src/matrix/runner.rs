@@ -1,7 +1,8 @@
 //! Cell execution: barrier-synchronized, seeded, warmup/measure phased.
 //!
-//! Every cell runs the same protocol the retired bespoke harnesses ran,
-//! now in one place:
+//! Every cell, one thread or many, runs one protocol (SPEC.md §14): its
+//! workers register seeded sessions in one `ThreadedPapi` table and time
+//! one op loop, the protocol the retired bespoke harnesses ran:
 //!
 //! * **Seeds** — thread `t` of a cell gets `seed + t · seed_stride`
 //!   (stride 0 makes every worker's machine — and fault schedule —
@@ -26,13 +27,13 @@
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-use papi_core::{Papi, Substrate, SubstrateRegistry, ThreadedPapi};
+use papi_core::{Papi, PapiThread, Substrate, SubstrateRegistry, TaggedSetId, ThreadedPapi};
 use papi_obs::alloc_track::count_in;
 use papi_obs::{thread_cpu_ns, Counter, Obs, ObsHandle};
 use papi_workloads::dense_fp;
 use simcpu::platform::sim_x86;
 
-use super::config::{dispatch_of, CellSpec, Dispatch, Op, CELL_EVENTS};
+use super::config::{dispatch_of, CellSpec, Dispatch, Op, CELL_EVENTS, MPX_PERIOD};
 
 /// Run-wide knobs that are not part of any cell's identity.
 #[derive(Clone)]
@@ -167,14 +168,11 @@ pub fn run_cell(spec: &CellSpec, opts: &RunOptions) -> CellResult {
 fn run_cell_with(spec: &CellSpec, opts: &RunOptions, reg: &Arc<SubstrateRegistry>) -> CellResult {
     let program = dense_fp(10, 1, 0).program;
     match dispatch_of(&spec.substrate) {
-        Dispatch::Static => {
-            let program = program.clone();
-            run_cell_generic(spec, opts, move |seed| {
-                let mut m = simcpu::Machine::new(sim_x86(), seed);
-                m.load(program.clone());
-                Papi::init(papi_core::SimSubstrate::new(m))
-            })
-        }
+        Dispatch::Static => run_cell_generic(spec, opts, move |seed| {
+            let mut m = simcpu::Machine::new(sim_x86(), seed);
+            m.load(program.clone());
+            Papi::init(papi_core::SimSubstrate::new(m))
+        }),
         Dispatch::Registry(name) => {
             let reg = reg.clone();
             let name = name.to_string();
@@ -187,21 +185,36 @@ fn run_cell_with(spec: &CellSpec, opts: &RunOptions, reg: &Arc<SubstrateRegistry
     }
 }
 
+/// Run the cell's workers over one `ThreadedPapi` table (each with its own
+/// seeded machine and fault schedule) and fold their samples; one worker
+/// whose setup failed makes the cell unsupported.
 fn run_cell_generic<S, F>(spec: &CellSpec, opts: &RunOptions, factory: F) -> CellResult
 where
     S: Substrate + Send + 'static,
     F: Fn(u64) -> papi_core::Result<Papi<S>> + Send + Sync + 'static,
 {
     let cell_obs = Obs::new();
-    let samples = if spec.threads == 1 {
-        run_single(spec, &cell_obs, &factory).map(|s| vec![s])
-    } else {
-        run_threaded(spec, opts, &cell_obs, factory)
-    };
-    let Some(samples) = samples else {
-        return CellResult::unsupported(spec);
-    };
-    aggregate(spec, &cell_obs, &samples)
+    let mut pool = ThreadedPapi::new(spec.seed, factory);
+    pool.attach_obs(cell_obs.clone());
+    let pool = Arc::new(pool);
+    let barrier = Barrier::new(spec.threads);
+    let samples: Option<Vec<ThreadSample>> = std::thread::scope(|scope| {
+        let joins: Vec<_> = (0..spec.threads)
+            .map(|t| {
+                let seed = spec.seed + t as u64 * opts.seed_stride;
+                let (pool, barrier) = (&pool, &barrier);
+                scope.spawn(move || worker(pool, barrier, spec, seed))
+            })
+            .collect();
+        joins
+            .into_iter()
+            .map(|j| j.join().expect("matrix worker panicked"))
+            .collect()
+    });
+    match samples {
+        Some(samples) => aggregate(spec, &cell_obs, &samples),
+        None => CellResult::unsupported(spec),
+    }
 }
 
 fn aggregate(spec: &CellSpec, cell_obs: &ObsHandle, samples: &[ThreadSample]) -> CellResult {
@@ -241,133 +254,6 @@ fn aggregate(spec: &CellSpec, cell_obs: &ObsHandle, samples: &[ThreadSample]) ->
     }
 }
 
-/// Single-thread cells keep the direct `Papi<S>` call path the bespoke
-/// harnesses measured — no thread-table hop in the timed loop.
-fn run_single<S, F>(spec: &CellSpec, cell_obs: &ObsHandle, factory: &F) -> Option<ThreadSample>
-where
-    S: Substrate,
-    F: Fn(u64) -> papi_core::Result<Papi<S>>,
-{
-    let mut papi = factory(spec.seed).ok()?;
-    papi.attach_obs(cell_obs.clone());
-    let set = papi.create_eventset();
-    if spec.mpx {
-        papi.set_multiplex(set).ok()?;
-        papi.set_multiplex_period(set, spec.mpx_period).ok()?;
-    }
-    for ev in &CELL_EVENTS[..spec.events] {
-        papi.add_event(set, ev.code()).ok()?;
-    }
-    papi.start(set).ok()?;
-
-    let mut out = [0i64; CELL_EVENTS.len()];
-    let (ok, _) = burst_direct(&mut papi, set, spec, &mut out, spec.warmup);
-    if !ok {
-        return None;
-    }
-    let start_vcyc = papi.get_real_cyc();
-    let cpu0 = thread_cpu_ns();
-    let mut best = f64::MAX;
-    let mut allocs = 0u64;
-    for _ in 0..spec.reps {
-        let t0 = Instant::now();
-        let (ok, a) = burst_direct(&mut papi, set, spec, &mut out, spec.iters);
-        if !ok {
-            return None;
-        }
-        best = best.min(t0.elapsed().as_nanos() as f64);
-        allocs += a;
-    }
-    let cpu_ns = match (cpu0, thread_cpu_ns()) {
-        (Some(a), Some(b)) => Some(b.saturating_sub(a)),
-        _ => None,
-    };
-    let end_vcyc = papi.get_real_cyc();
-    std::hint::black_box(out[0]);
-    Some(ThreadSample {
-        start_vcyc,
-        virt_cycles: end_vcyc - start_vcyc,
-        best_rep_wall_ns: best,
-        cpu_ns,
-        allocs,
-    })
-}
-
-/// One measured burst on a direct session: `iters` ops with the op match
-/// hoisted out of the per-iter loop, heap traffic counted.
-fn burst_direct<S: Substrate>(
-    papi: &mut Papi<S>,
-    set: usize,
-    spec: &CellSpec,
-    out: &mut [i64; CELL_EVENTS.len()],
-    iters: u64,
-) -> (bool, u64) {
-    let n = spec.events;
-    count_in(|| match spec.op {
-        Op::ReadInto => {
-            for _ in 0..iters {
-                if papi.read_into(set, &mut out[..n]).is_err() {
-                    return false;
-                }
-            }
-            true
-        }
-        Op::Read => {
-            let mut sink = 0i64;
-            for _ in 0..iters {
-                match papi.read(set) {
-                    Ok(v) => sink = sink.wrapping_add(v[0]),
-                    Err(_) => return false,
-                }
-            }
-            std::hint::black_box(sink);
-            true
-        }
-        Op::Accum => {
-            for _ in 0..iters {
-                if papi.accum(set, &mut out[..n]).is_err() {
-                    return false;
-                }
-            }
-            true
-        }
-    })
-}
-
-/// Multi-thread cells go through `ThreadedPapi`: each worker registers a
-/// seeded session (own machine, own fault schedule), sets up and warms
-/// before the barrier, and measures only after every thread has arrived.
-fn run_threaded<S, F>(
-    spec: &CellSpec,
-    opts: &RunOptions,
-    cell_obs: &ObsHandle,
-    factory: F,
-) -> Option<Vec<ThreadSample>>
-where
-    S: Substrate + Send + 'static,
-    F: Fn(u64) -> papi_core::Result<Papi<S>> + Send + Sync + 'static,
-{
-    let mut pool = ThreadedPapi::new(spec.seed, factory);
-    pool.attach_obs(cell_obs.clone());
-    let pool = Arc::new(pool);
-    let barrier = Arc::new(Barrier::new(spec.threads));
-    let mut joins = Vec::with_capacity(spec.threads);
-    for t in 0..spec.threads {
-        let pool = pool.clone();
-        let barrier = barrier.clone();
-        let spec = spec.clone();
-        let seed = spec.seed + t as u64 * opts.seed_stride;
-        joins.push(std::thread::spawn(move || {
-            worker(&pool, &barrier, &spec, seed)
-        }));
-    }
-    let samples: Vec<Option<ThreadSample>> = joins
-        .into_iter()
-        .map(|j| j.join().expect("matrix worker panicked"))
-        .collect();
-    samples.into_iter().collect()
-}
-
 /// One worker thread.  Setup failures do not bail before the barrier —
 /// every thread always arrives, so no sibling deadlocks; the failure
 /// surfaces as `None` (cell unsupported).
@@ -380,47 +266,14 @@ fn worker<S: Substrate + Send>(
     let setup = setup_worker(pool, spec, seed);
     barrier.wait();
     let (token, set) = setup?;
-    let start_vcyc = token.with(|p| p.get_real_cyc());
     let mut out = [0i64; CELL_EVENTS.len()];
-    let n = spec.events;
-    let op = spec.op;
-    let mut burst = |iters: u64| -> (bool, u64) {
-        count_in(|| match op {
-            Op::ReadInto => {
-                for _ in 0..iters {
-                    if token.read_into(set, &mut out[..n]).is_err() {
-                        return false;
-                    }
-                }
-                true
-            }
-            Op::Read => {
-                let mut sink = 0i64;
-                for _ in 0..iters {
-                    match token.read(set) {
-                        Ok(v) => sink = sink.wrapping_add(v[0]),
-                        Err(_) => return false,
-                    }
-                }
-                std::hint::black_box(sink);
-                true
-            }
-            Op::Accum => {
-                for _ in 0..iters {
-                    if token.accum(set, &mut out[..n]).is_err() {
-                        return false;
-                    }
-                }
-                true
-            }
-        })
-    };
+    let start_vcyc = token.with(|p| p.get_real_cyc());
     let cpu0 = thread_cpu_ns();
     let mut best = f64::MAX;
     let mut allocs = 0u64;
     for _ in 0..spec.reps {
         let t0 = Instant::now();
-        let (ok, a) = burst(spec.iters);
+        let (ok, a) = burst(&token, set, spec, &mut out, spec.iters);
         if !ok {
             return None;
         }
@@ -442,7 +295,7 @@ fn worker<S: Substrate + Send>(
     })
 }
 
-type WorkerSetup<S> = (papi_core::PapiThread<S>, papi_core::TaggedSetId);
+type WorkerSetup<S> = (PapiThread<S>, TaggedSetId);
 
 /// Pre-barrier phase: register, build + start the set, warm up.
 fn setup_worker<S: Substrate + Send>(
@@ -455,7 +308,7 @@ fn setup_worker<S: Substrate + Send>(
     if spec.mpx {
         token.set_multiplex(set).ok()?;
         token
-            .with(|p| p.set_multiplex_period(set.local(), spec.mpx_period))
+            .with(|p| p.set_multiplex_period(set.local(), MPX_PERIOD))
             .ok()?;
     }
     for ev in &CELL_EVENTS[..spec.events] {
@@ -463,16 +316,35 @@ fn setup_worker<S: Substrate + Send>(
     }
     token.start(set).ok()?;
     let mut out = [0i64; CELL_EVENTS.len()];
-    let n = spec.events;
-    for _ in 0..spec.warmup {
-        let ok = match spec.op {
-            Op::ReadInto => token.read_into(set, &mut out[..n]).is_ok(),
-            Op::Read => token.read(set).is_ok(),
-            Op::Accum => token.accum(set, &mut out[..n]).is_ok(),
-        };
-        if !ok {
-            return None;
+    let (ok, _) = burst(&token, set, spec, &mut out, spec.warmup);
+    ok.then_some((token, set))
+}
+
+/// `iters` ops of the cell's op, with the op match hoisted out of the
+/// per-iter loop and heap traffic counted: whether every op succeeded,
+/// and the allocations made.
+fn burst<S: Substrate + Send>(
+    token: &PapiThread<S>,
+    set: TaggedSetId,
+    spec: &CellSpec,
+    out: &mut [i64],
+    iters: u64,
+) -> (bool, u64) {
+    let out = &mut out[..spec.events];
+    count_in(|| match spec.op {
+        Op::ReadInto => (0..iters).all(|_| token.read_into(set, out).is_ok()),
+        Op::Read => {
+            let mut sink = 0i64;
+            let ok = (0..iters).all(|_| match token.read(set) {
+                Ok(v) => {
+                    sink = sink.wrapping_add(v[0]);
+                    true
+                }
+                Err(_) => false,
+            });
+            std::hint::black_box(sink);
+            ok
         }
-    }
-    Some((token, set))
+        Op::Accum => (0..iters).all(|_| token.accum(set, out).is_ok()),
+    })
 }

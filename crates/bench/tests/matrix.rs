@@ -13,6 +13,7 @@ use papi_bench::matrix::{
 };
 use papi_obs::json::{BaselineRow, ToJson, Value};
 use papi_obs::{Counter, Obs};
+use std::collections::HashMap;
 
 /// A small but representative config: two benches, two substrates, a
 /// fault schedule, single- and multi-thread cells, direct and mpx modes.
@@ -64,7 +65,6 @@ fn one_spec(substrate: &str, threads: usize, seed: u64) -> CellSpec {
         warmup: 16,
         iters: 64,
         reps: 1,
-        mpx_period: 5000,
         gate_ratio: 1.5,
     }
 }
@@ -261,6 +261,79 @@ fn gate_refuses_damaged_baselines_and_names_doctored_lines() {
     assert_eq!(
         findings,
         ["read_into/sim:x86/4t/1ev/dir: vcyc/op 100.0000 -> 800.0000 (8.00x > limit 1.50x) (baseline line 6)"]
+    );
+}
+
+/// `benches/matrix.toml` as shipped reproduces `results/bench_matrix.json`
+/// in every column that does not depend on the host: support, sizes,
+/// vcyc/op as rendered, allocs/op, start spread and the obs deltas of all
+/// cells, and the PP scores rows.  These are what the library does per op,
+/// so unlike the `max_ratio` gate this pins them exactly.  A mismatch
+/// names the cell and its golden line.
+#[test]
+fn shipped_matrix_reproduces_the_golden_deterministic_columns() {
+    const DETERMINISTIC: [&str; 9] = [
+        "supported",
+        "iters",
+        "reps",
+        "vcyc_per_op",
+        "allocs_per_op",
+        "spread_vcyc",
+        "reads",
+        "mpx_rotations",
+        "fault_retries",
+    ];
+    // `file:platforms/...` substrates resolve against the working
+    // directory, so run from the repository root as the CLI does (no
+    // other test here reads a relative path).
+    std::env::set_current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")).unwrap();
+    let read = |rel: &str| std::fs::read_to_string(rel).unwrap();
+    let cfg = MatrixConfig::parse(&read("benches/matrix.toml")).unwrap();
+    let results = run_matrix(&cfg.expand(), &RunOptions::default());
+    let doc = render_matrix_json(&results, &score_matrix(&results));
+    let golden = read("results/bench_matrix.json");
+
+    let run: HashMap<String, Value> = read_baseline(&doc)
+        .unwrap()
+        .into_iter()
+        .map(|r| (r.cell, r.value))
+        .collect();
+    let rows = read_baseline(&golden).unwrap();
+    assert_eq!(rows.len(), run.len(), "cells in the golden and in the run");
+    let mut mismatches = Vec::new();
+    for row in &rows {
+        let Some(cell) = run.get(&row.cell) else {
+            mismatches.push(format!("{} (golden line {}): not run", row.cell, row.line));
+            continue;
+        };
+        for key in DETERMINISTIC {
+            let (want, got) = (row.value.get(key), cell.get(key));
+            if want != got {
+                mismatches.push(format!(
+                    "{} (golden line {}): {key} {want:?} -> {got:?}",
+                    row.cell, row.line
+                ));
+            }
+        }
+    }
+    let scores = |text: &str| -> Vec<(usize, String)> {
+        (1..)
+            .zip(text.lines().map(str::to_string))
+            .skip_while(|(_, l)| !l.starts_with("], \"scores\""))
+            .collect()
+    };
+    let (want, got) = (scores(&golden), scores(&doc));
+    assert_eq!(want.len(), got.len(), "scores rows");
+    for ((line, w), (_, g)) in want.iter().zip(&got) {
+        if w != g {
+            mismatches.push(format!("scores (golden line {line}): {w} -> {g}"));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "{} mismatch(es) against results/bench_matrix.json:\n{}",
+        mismatches.len(),
+        mismatches.join("\n")
     );
 }
 

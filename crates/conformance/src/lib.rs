@@ -647,11 +647,6 @@ impl<S: Substrate> Substrate for BrokenSubstrate<S> {
     fn reset(&mut self) -> papi_core::Result<()> {
         self.inner.reset()
     }
-    fn read(&mut self, idx: usize) -> papi_core::Result<u64> {
-        self.reads += 1;
-        let g = self.glitch();
-        Ok(self.inner.read(idx)? + g)
-    }
     fn read_batch(&mut self, ctrs: &[usize], out: &mut Vec<u64>) -> papi_core::Result<()> {
         self.reads += 1;
         let g = self.glitch();

@@ -265,16 +265,6 @@ impl<S: Substrate> FaultSubstrate<S> {
             .wrapping_add(1442695040888963407);
         self.rng >> 33
     }
-
-    /// Present a raw reading at the plan's register width: bias by the
-    /// preload and wrap. With 64-bit width this is the identity.
-    fn narrow(&self, v: u64) -> u64 {
-        if self.mask == u64::MAX {
-            v
-        } else {
-            v.wrapping_add(self.plan.preload) & self.mask
-        }
-    }
 }
 
 impl<S: Substrate> Substrate for FaultSubstrate<S> {
@@ -336,18 +326,6 @@ impl<S: Substrate> Substrate for FaultSubstrate<S> {
         self.inner.reset()
     }
 
-    fn read(&mut self, idx: usize) -> Result<u64> {
-        if self
-            .read_fail
-            .tick(self.plan.read_fail_period, self.plan.fail_burst)
-        {
-            self.injected += 1;
-            return Err(PapiError::SubstrateTransient("injected read fault"));
-        }
-        let v = self.inner.read(idx)?;
-        Ok(self.narrow(v))
-    }
-
     fn read_batch(&mut self, ctrs: &[usize], out: &mut Vec<u64>) -> Result<()> {
         // The whole batch is one kernel crossing: one schedule tick, and a
         // failure loses the entire crossing (no partial output).
@@ -360,6 +338,8 @@ impl<S: Substrate> Substrate for FaultSubstrate<S> {
         }
         let base = out.len();
         self.inner.read_batch(ctrs, out)?;
+        // Present the raw readings at the plan's register width: bias by
+        // the preload and wrap. With 64-bit width this is the identity.
         if self.mask != u64::MAX {
             for v in &mut out[base..] {
                 *v = v.wrapping_add(self.plan.preload) & self.mask;
@@ -463,7 +443,6 @@ mod tests {
         let mut f = FaultSubstrate::new(sub(), FaultPlan::quiet());
         assert_eq!(f.counter_width(), 64);
         f.start().unwrap();
-        assert_eq!(f.read(0).unwrap(), 0);
         let mut out = Vec::new();
         f.read_batch(&[0, 1], &mut out).unwrap();
         assert_eq!(out, vec![0, 0]);
@@ -480,7 +459,7 @@ mod tests {
         let mut f = FaultSubstrate::new(sub(), plan);
         let mut fails = 0;
         for _ in 0..12 {
-            if f.read(0).is_err() {
+            if f.read_batch(&[0], &mut Vec::new()).is_err() {
                 fails += 1;
             }
         }
@@ -523,7 +502,6 @@ mod tests {
         let mut f = FaultSubstrate::new(sub(), plan);
         assert_eq!(f.counter_width(), 32);
         // Inner counter is 0, so the raw reading is the preload itself.
-        assert_eq!(f.read(0).unwrap(), (1u64 << 32) - 10);
         let mut out = Vec::new();
         f.read_batch(&[0], &mut out).unwrap();
         assert_eq!(out, vec![(1u64 << 32) - 10]);

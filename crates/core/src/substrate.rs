@@ -46,7 +46,7 @@ pub trait Substrate {
     /// Counter groups, non-empty on group-allocated platforms (POWER style).
     fn groups(&self) -> &[GroupDef];
 
-    /// Width, in bits, of the counter values this substrate's `read` path
+    /// Width, in bits, of the counter values this substrate's `read_batch`
     /// returns.  64 (the default) means values never wrap in practice and
     /// the portable layer reads them verbatim.  Anything narrower — the
     /// paper's platforms ranged from 32-bit MIPS/UltraSPARC counters to
@@ -90,24 +90,15 @@ pub trait Substrate {
     /// Zero the counters.
     fn reset(&mut self) -> Result<()>;
 
-    /// Read one counter.
-    fn read(&mut self, idx: usize) -> Result<u64>;
-
-    /// Read several counters in one substrate call, appending their values
-    /// to `out` in `ctrs` order.
+    /// Read the counters `ctrs`, appending their values to `out` in `ctrs`
+    /// order: the only way the portable layer reads a counter.
     ///
     /// Real counter interfaces return the full counter state per kernel
     /// crossing (one ioctl/syscall), so the portable layer's `read` of an
-    /// n-event set should cost one crossing, not n.  Substrates with a
-    /// batched native interface override this; the default falls back to
-    /// per-counter [`Substrate::read`].
-    fn read_batch(&mut self, ctrs: &[usize], out: &mut Vec<u64>) -> Result<()> {
-        for &c in ctrs {
-            let v = self.read(c)?;
-            out.push(v);
-        }
-        Ok(())
-    }
+    /// n-event set should cost one crossing, not n.  A substrate whose
+    /// native interface reads one counter per call issues one call per
+    /// entry of `ctrs`.
+    fn read_batch(&mut self, ctrs: &[usize], out: &mut Vec<u64>) -> Result<()>;
 
     /// Arm (`Some(threshold)`) or disarm (`None`) overflow interrupts.
     fn set_overflow(&mut self, idx: usize, threshold: Option<u64>) -> Result<()>;
@@ -192,9 +183,6 @@ impl<T: Substrate + ?Sized> Substrate for Box<T> {
     }
     fn reset(&mut self) -> Result<()> {
         (**self).reset()
-    }
-    fn read(&mut self, idx: usize) -> Result<u64> {
-        (**self).read(idx)
     }
     fn read_batch(&mut self, ctrs: &[usize], out: &mut Vec<u64>) -> Result<()> {
         (**self).read_batch(ctrs, out)
@@ -324,10 +312,6 @@ impl Substrate for SimSubstrate {
         Ok(())
     }
 
-    fn read(&mut self, idx: usize) -> Result<u64> {
-        Ok(self.machine.costed_read(idx)?)
-    }
-
     fn read_batch(&mut self, ctrs: &[usize], out: &mut Vec<u64>) -> Result<()> {
         self.machine.costed_read_batch(ctrs, out)?;
         Ok(())
@@ -402,7 +386,7 @@ mod tests {
     fn read_costs_cycles() {
         let mut s = SimSubstrate::for_platform(sim_x86(), 1);
         let c0 = s.real_cycles();
-        let _ = s.read(0).unwrap();
+        s.read_batch(&[0], &mut Vec::new()).unwrap();
         assert_eq!(s.real_cycles() - c0, s.spec().costs.read_cycles);
     }
 

@@ -158,9 +158,12 @@ impl Substrate for MockSubstrate {
         Ok(())
     }
 
-    fn read(&mut self, idx: usize) -> Result<u64> {
-        self.log.push(Call::Read(idx));
-        Ok(self.counts[idx])
+    fn read_batch(&mut self, ctrs: &[usize], out: &mut Vec<u64>) -> Result<()> {
+        for &c in ctrs {
+            self.log.push(Call::Read(c));
+            out.push(self.counts[c]);
+        }
+        Ok(())
     }
 
     fn set_overflow(&mut self, idx: usize, threshold: Option<u64>) -> Result<()> {

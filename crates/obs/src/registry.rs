@@ -91,6 +91,8 @@ pub enum Counter {
     /// Snapshot/histogram frames presented to an aggregation daemon's
     /// ingestion front end (every frame, applied or not).
     AggdFramesIn,
+    /// Frames applied exactly once, in order or not.
+    AggdApplied,
     /// Frames dropped because their sequence number was already applied
     /// (or fell behind the anti-replay window) — exactly-once enforcement.
     AggdDupDropped,
@@ -100,6 +102,9 @@ pub enum Counter {
     /// Frames dropped by per-tenant quota backpressure (never silently:
     /// this counter is the accounting).
     AggdDroppedFrames,
+    /// Frames naming a tenant id that is not bound on their connection
+    /// (dropped, counted).
+    AggdUnknownTenant,
     /// Non-empty time windows overwritten by ring rotation (oldest-window
     /// eviction under the bounded-memory policy).
     AggdEvictedWindows,
@@ -169,9 +174,11 @@ pub const COUNTERS: &[Counter] = &[
     Counter::FaultGaveUp,
     Counter::FaultWraps,
     Counter::AggdFramesIn,
+    Counter::AggdApplied,
     Counter::AggdDupDropped,
     Counter::AggdOutOfOrder,
     Counter::AggdDroppedFrames,
+    Counter::AggdUnknownTenant,
     Counter::AggdEvictedWindows,
     Counter::AggdStaleWindows,
     Counter::AggdUnknownSeries,
@@ -205,9 +212,11 @@ impl Counter {
             ThreadsRegistered | ThreadsUnregistered | CrossThreadDenied => "threads",
             FaultRetries | FaultGaveUp | FaultWraps => "fault",
             AggdFramesIn
+            | AggdApplied
             | AggdDupDropped
             | AggdOutOfOrder
             | AggdDroppedFrames
+            | AggdUnknownTenant
             | AggdEvictedWindows
             | AggdStaleWindows
             | AggdUnknownSeries
@@ -259,9 +268,11 @@ impl Counter {
             FaultGaveUp => "gave_up",
             FaultWraps => "wraps",
             AggdFramesIn => "frames_in",
+            AggdApplied => "applied",
             AggdDupDropped => "dup_dropped",
             AggdOutOfOrder => "out_of_order",
             AggdDroppedFrames => "dropped_frames",
+            AggdUnknownTenant => "unknown_tenant",
             AggdEvictedWindows => "evicted_windows",
             AggdStaleWindows => "stale_windows",
             AggdUnknownSeries => "unknown_series",

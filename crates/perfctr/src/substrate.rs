@@ -108,14 +108,18 @@ impl Substrate for PerfctrSubstrate {
         self.dev.sys_ioctl(self.fd, Ioctl::Reset).map_err(errno)
     }
 
-    fn read(&mut self, idx: usize) -> Result<u64> {
-        // The counter file is read as a block up to the needed register.
-        let mut buf = vec![0u64; idx + 1];
-        let n = self.dev.sys_read(self.fd, &mut buf).map_err(errno)?;
-        if idx >= n {
-            return Err(PapiError::Substrate("perfctr: short read".into()));
+    fn read_batch(&mut self, ctrs: &[usize], out: &mut Vec<u64>) -> Result<()> {
+        // One read(2) per counter: the counter file is read as a block up
+        // to the needed register.
+        for &idx in ctrs {
+            let mut buf = vec![0u64; idx + 1];
+            let n = self.dev.sys_read(self.fd, &mut buf).map_err(errno)?;
+            if idx >= n {
+                return Err(PapiError::Substrate("perfctr: short read".into()));
+            }
+            out.push(buf[idx]);
         }
-        Ok(buf[idx])
+        Ok(())
     }
 
     fn set_overflow(&mut self, idx: usize, threshold: Option<u64>) -> Result<()> {

@@ -206,50 +206,15 @@ fn self_check(spec: PlatformSpec) -> bool {
 /// throughput on pre-encoded snapshot frames, steady-state allocations per
 /// frame (must be zero), and resident bytes per tenant.
 fn self_check_aggd() -> bool {
-    use papi_aggd::{AggdConfig, Aggregator, ConnCtx, FrameBuf};
-    let agg = Aggregator::new(AggdConfig::default());
-    let mut ctx = ConnCtx::new();
-    let mut fb = FrameBuf::new();
-    let ingest = |agg: &Aggregator, ctx: &mut ConnCtx, msg: &[u8]| {
-        agg.ingest(ctx, &msg[4..]).unwrap();
-    };
-    let msg = fb.bind_tenant(0, "cost").to_vec();
-    ingest(&agg, &mut ctx, &msg);
-    for sid in 0..4u16 {
-        let msg = fb.reg_series(0, sid, &format!("s{sid}")).to_vec();
-        ingest(&agg, &mut ctx, &msg);
-    }
-    // Pre-encode a ring of frames (distinct sequence numbers so none are
-    // dropped as duplicates) and warm the ingest path.
-    let n = 10_000u64;
-    let frames: Vec<Vec<u8>> = (0..n)
-        .map(|seq| {
-            let deltas = [(0u16, 3u64), (1, 5), ((seq % 4) as u16, 7)];
-            fb.snapshot(0, 1, seq, seq * 257, &deltas).to_vec()
-        })
-        .collect();
-    for msg in frames.iter().take(64) {
-        ingest(&agg, &mut ctx, msg);
-    }
-    let ((), allocs) = papi_obs::alloc_track::count_in(|| {
-        for msg in frames.iter().skip(64) {
-            agg.ingest(&mut ctx, &msg[4..]).unwrap();
-        }
-    });
-    let timed = frames.len() - 64;
-    let t0 = std::time::Instant::now();
-    for msg in frames.iter().skip(64) {
-        agg.ingest(&mut ctx, &msg[4..]).unwrap();
-    }
-    let secs = t0.elapsed().as_secs_f64();
-    let frames_per_sec = timed as f64 / secs.max(1e-9);
-    let allocs_per_frame = allocs as f64 / timed as f64;
-    let stats = agg.stats();
+    let ingest = papi_aggd::ingest_bench("cost", 10_000);
     println!(
         "{:<12} {:>14.0} {:>14} {:>12.2}",
-        "aggd ingest", frames_per_sec, stats.bytes_per_tenant, allocs_per_frame
+        "aggd ingest",
+        1e9 / ingest.ns_per_frame,
+        ingest.bytes_per_tenant,
+        ingest.allocs_per_frame
     );
-    allocs == 0
+    ingest.allocs_per_frame == 0.0
 }
 
 /// Contention row: per-thread CPU cost of the token `read_into` path at 1
