@@ -13,9 +13,14 @@
 //! golden with `--out results/bench_matrix.json --txt
 //! results/papi_bench_matrix.txt`.
 //!
+//! Under `--json`, stdout carries the JSON document alone; every other
+//! line goes to stderr.
+//!
 //! Exit codes: 0 clean · 1 regression or failed invariant · 2 usage,
 //! config or baseline error (a baseline that is not a report golden is
-//! refused with its line before any cell runs).  Regressions are compared
+//! refused with its line before any cell runs, and so is a config naming a
+//! substrate the registry cannot open — `file:` paths resolve against the
+//! working directory).  Regressions are compared
 //! on **virtual cycles per op** (deterministic for a given config + seed),
 //! so the CI gate does not flake with host load; each line names the cell
 //! and the baseline line number, `papi_validate` style.
@@ -30,8 +35,8 @@
 //!   virtual throughput must scale >= 3x.
 
 use papi_bench::matrix::{
-    diff_against_baseline, read_baseline, render_matrix_json, render_report, run_matrix,
-    score_matrix, CellResult, MatrixConfig, RunOptions,
+    diff_against_baseline, dispatch_of, read_baseline, render_matrix_json, render_report,
+    run_matrix, score_matrix, CellResult, CellSpec, Dispatch, MatrixConfig, RunOptions,
 };
 use papi_obs::{Counter, Obs};
 use std::path::{Path, PathBuf};
@@ -75,6 +80,16 @@ fn main() {
     let Some(config_path) = config_path else {
         usage()
     };
+    // Under --json stdout carries the document alone.
+    macro_rules! say {
+        ($($arg:tt)*) => {
+            if json {
+                eprintln!($($arg)*)
+            } else {
+                println!($($arg)*)
+            }
+        };
+    }
 
     let text = match std::fs::read_to_string(&config_path) {
         Ok(t) => t,
@@ -116,12 +131,20 @@ fn main() {
         }
     });
 
-    papi_bench::banner(
-        "E-matrix",
-        "config-driven benchmark matrix with performance-portability scoring",
+    if let Err(e) = open_substrates(&specs) {
+        eprintln!("papi_bench_matrix: {}: {e}", config_path.display());
+        exit(2);
+    }
+
+    say!(
+        "{}",
+        papi_bench::banner_text(
+            "E-matrix",
+            "config-driven benchmark matrix with performance-portability scoring",
+        )
     );
-    println!("config : {}", config_path.display());
-    println!(
+    say!("config : {}", config_path.display());
+    say!(
         "cells  : {} ({} benches){}\n",
         specs.len(),
         cfg.benches.len(),
@@ -159,6 +182,7 @@ fn main() {
     for (path, body) in [(out_path, &doc), (txt_path, &report)] {
         if let Some(path) = path {
             write_report(&path, body);
+            say!("wrote {}", path.display());
         }
     }
 
@@ -168,13 +192,13 @@ fn main() {
             eprintln!("MATRIX REGRESSION: {r}");
         }
         for i in &diff.better {
-            println!("improved: {}: {}", i.cell, i.detail);
+            say!("improved: {}: {}", i.cell, i.detail);
         }
         for a in &diff.added {
-            println!("new cell (not in baseline): {a}");
+            say!("new cell (not in baseline): {a}");
         }
         if diff.clean() {
-            println!(
+            say!(
                 "baseline {} : clean ({} cells compared)",
                 path.display(),
                 results.len() - diff.added.len()
@@ -200,7 +224,25 @@ fn write_report(path: &Path, body: &str) {
         eprintln!("papi_bench_matrix: write {}: {e}", path.display());
         exit(2);
     }
-    println!("wrote {}", path.display());
+}
+
+/// Open every distinct registry substrate the cells name, once, before any
+/// cell runs: one the registry cannot open is a config error, not a column
+/// of unsupported cells. `/static` labels need no registry.
+fn open_substrates(specs: &[CellSpec]) -> Result<(), String> {
+    let reg = papi_tools::full_registry();
+    let mut opened: Vec<&str> = Vec::new();
+    for spec in specs {
+        let Dispatch::Registry(name) = dispatch_of(&spec.substrate) else {
+            continue;
+        };
+        if !opened.contains(&name) {
+            reg.create(name, spec.seed)
+                .map_err(|e| format!("substrate `{name}`: {e}"))?;
+            opened.push(name);
+        }
+    }
+    Ok(())
 }
 
 /// The zero-allocation steady-state guarantee, asserted matrix-wide.

@@ -41,11 +41,15 @@ pub fn baseline_cycles(spec: PlatformSpec, program: Program, seed: u64) -> u64 {
     m.cycles()
 }
 
+/// An experiment banner: the claim between two rules, no trailing newline.
+pub fn banner_text(id: &str, claim: &str) -> String {
+    let rule = "=".repeat(62);
+    format!("{rule}\n{id}: {claim}\n{rule}")
+}
+
 /// Print an experiment banner.
 pub fn banner(id: &str, claim: &str) {
-    println!("==============================================================");
-    println!("{id}: {claim}");
-    println!("==============================================================");
+    println!("{}", banner_text(id, claim));
 }
 
 /// Format a ratio as a percentage string.

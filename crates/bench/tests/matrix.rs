@@ -407,3 +407,57 @@ fn matrix_report_round_trips() {
         assert!((vcyc_of(p) - r.vcyc_per_op).abs() < 1e-4);
     }
 }
+
+/// Run the `papi_bench_matrix` binary on `config`, written to a file under
+/// the target's scratch directory, with `args` after `--config FILE`.
+fn run_binary(name: &str, config: &str, args: &[&str]) -> std::process::Output {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{name}.toml"));
+    std::fs::write(&path, config).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_papi_bench_matrix"))
+        .arg("--config")
+        .arg(&path)
+        .args(args)
+        .output()
+        .unwrap();
+    std::fs::remove_file(&path).unwrap();
+    out
+}
+
+/// A substrate the registry cannot open is a config error (exit 2, naming
+/// it), refused before any cell runs — not a column of unsupported cells.
+#[test]
+fn unopenable_substrate_is_refused_before_any_cell_runs() {
+    let config = SMALL_CONFIG.replace(
+        r#"substrates = ["sim:x86", "sim:generic"]"#,
+        r#"substrates = ["sim:x86", "file:no/such/platform.toml"]"#,
+    );
+    assert_ne!(config, SMALL_CONFIG);
+    let out = run_binary("unopenable_substrate", &config, &["--smoke"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("substrate `file:no/such/platform.toml`"),
+        "{stderr}"
+    );
+    assert!(
+        out.stdout.is_empty(),
+        "cells ran: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
+/// Under `--json`, stdout is the report document and nothing else.
+#[test]
+fn json_stdout_is_the_document_alone() {
+    let out = run_binary("json_stdout", SMALL_CONFIG, &["--smoke", "--json"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let text = String::from_utf8(out.stdout).unwrap();
+    let doc = papi_obs::json::parse(&text).expect("stdout is one JSON document");
+    let cells = MatrixConfig::parse(SMALL_CONFIG).unwrap().expand().len();
+    match doc.get("matrix") {
+        Some(Value::Arr(rows)) => assert_eq!(rows.len(), cells),
+        other => panic!("no matrix array: {other:?}"),
+    }
+    assert!(stderr.contains("E-matrix"), "{stderr}");
+}

@@ -680,25 +680,25 @@ pub unsafe extern "C" fn PAPI_event_code_to_name(
 /// an unknown code (as in the C library).
 #[no_mangle]
 pub extern "C" fn PAPI_strerror(code: c_int) -> *const c_char {
-    let s: &'static [u8] = match code {
-        PAPI_OK => b"No error ",
-        PAPI_EINVAL => b"Invalid argument ",
-        PAPI_ENOMEM => b"Insufficient memory ",
-        PAPI_ESYS => b"A system or C library call failed ",
-        PAPI_ESBSTR => b"Substrate returned an error ",
-        PAPI_ENOEVNT => b"Event does not exist ",
-        PAPI_ECNFLCT => b"Event exists, but cannot be counted due to hardware resource limits ",
-        PAPI_ENOTRUN => b"EventSet is currently not running ",
-        PAPI_EISRUN => b"EventSet is currently counting ",
-        PAPI_ENOEVST => b"No such EventSet available ",
-        PAPI_ENOTPRESET => b"Event in argument is not a valid preset ",
-        PAPI_ENOCNTR => b"Hardware does not support performance counters ",
-        PAPI_EMISC => b"Unknown error code ",
-        PAPI_ENOSUPP => b"Not supported ",
-        PAPI_ENOINIT => b"PAPI hasn't been initialized yet ",
+    let s: &'static CStr = match code {
+        PAPI_OK => c"No error",
+        PAPI_EINVAL => c"Invalid argument",
+        PAPI_ENOMEM => c"Insufficient memory",
+        PAPI_ESYS => c"A system or C library call failed",
+        PAPI_ESBSTR => c"Substrate returned an error",
+        PAPI_ENOEVNT => c"Event does not exist",
+        PAPI_ECNFLCT => c"Event exists, but cannot be counted due to hardware resource limits",
+        PAPI_ENOTRUN => c"EventSet is currently not running",
+        PAPI_EISRUN => c"EventSet is currently counting",
+        PAPI_ENOEVST => c"No such EventSet available",
+        PAPI_ENOTPRESET => c"Event in argument is not a valid preset",
+        PAPI_ENOCNTR => c"Hardware does not support performance counters",
+        PAPI_EMISC => c"Unknown error code",
+        PAPI_ENOSUPP => c"Not supported",
+        PAPI_ENOINIT => c"PAPI hasn't been initialized yet",
         _ => return std::ptr::null(),
     };
-    s.as_ptr() as *const c_char
+    s.as_ptr()
 }
 
 #[cfg(test)]

@@ -2,7 +2,10 @@
 //! `lib.rs` when it became a facade; they exercise the public API exactly
 //! as external callers do).
 
-use crate::{sampling, AppExit, Papi, PapiError, Preset, ProfilConfig, SetState, SimSubstrate};
+use crate::{
+    sampling, AppExit, EventSetId, FaultPlan, FaultSubstrate, Papi, PapiError, Preset,
+    ProfilConfig, SetState, SimSubstrate, Substrate, DEFAULT_TRANSIENT_RETRY_BUDGET,
+};
 use simcpu::platform::{sim_alpha, sim_generic, sim_power3, sim_t3e, sim_x86};
 use simcpu::{AddrGen, Machine, PlatformSpec, Program, ProgramBuilder};
 use simcpu::{Domain, SampleConfig};
@@ -757,32 +760,141 @@ fn obs_counts_mpx_rotations_and_profil_hits() {
     assert_eq!(obs.get(C::OverflowHandlerDispatches), 0);
 }
 
+/// Create and fill a set on sim-x86: two events that fit its counters, or
+/// five that it must multiplex. Returns the set and its event count.
+fn x86_set<S: Substrate>(p: &mut Papi<S>, multiplex: bool) -> (EventSetId, usize) {
+    let set = p.create_eventset();
+    let events: &[Preset] = if multiplex {
+        p.set_multiplex(set).unwrap();
+        &[
+            Preset::FpOps,
+            Preset::TotIns,
+            Preset::LdIns,
+            Preset::SrIns,
+            Preset::BrIns,
+        ]
+    } else {
+        &[Preset::FpOps, Preset::TotCyc]
+    };
+    for e in events {
+        p.add_event(set, e.code()).unwrap();
+    }
+    (set, events.len())
+}
+
 #[test]
 fn obs_never_perturbs_measurements() {
     // Identical runs with and without the observer (journal on) must
     // produce identical counts and identical virtual end times: the
-    // instrumentation issues no costed substrate operations.
-    let run = |with_obs: bool| -> (Vec<i64>, u64) {
-        let mut p = papi_on(sim_x86(), fma_loop(30_000, 2));
-        if with_obs {
-            let obs = papi_obs::Obs::new();
+    // instrumentation issues no costed substrate operations. Every read
+    // entry point runs on a direct and a multiplexed set, over full-width
+    // counters and over 32-bit counters preloaded near the wrap.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Read,
+        ReadInto,
+        Accum,
+    }
+    fn run<S: Substrate>(
+        mut p: Papi<S>,
+        op: Op,
+        multiplex: bool,
+        obs: Option<papi_obs::ObsHandle>,
+    ) -> (Vec<i64>, u64) {
+        if let Some(obs) = obs {
             obs.enable_journal(256);
             p.attach_obs(obs);
         }
-        let set = p.create_eventset();
-        p.add_event(set, Preset::FpOps.code()).unwrap();
-        p.add_event(set, Preset::TotCyc.code()).unwrap();
-        p.start(set).unwrap();
-        while !matches!(p.run_for(25_000).unwrap(), AppExit::Halted) {
-            let _ = p.read(set).unwrap();
+        let (set, n) = x86_set(&mut p, multiplex);
+        if multiplex {
+            p.set_multiplex_period(set, 5_000).unwrap();
         }
-        let v = p.stop(set).unwrap();
-        (v, p.get_real_cyc())
+        p.start(set).unwrap();
+        let mut seen = Vec::new();
+        let mut buf = vec![0i64; n];
+        while !matches!(p.run_for(25_000).unwrap(), AppExit::Halted) {
+            match op {
+                Op::Read => seen.extend(p.read(set).unwrap()),
+                Op::ReadInto => {
+                    p.read_into(set, &mut buf).unwrap();
+                    seen.extend_from_slice(&buf);
+                }
+                Op::Accum => {
+                    p.accum(set, &mut buf).unwrap();
+                    seen.extend_from_slice(&buf);
+                }
+            }
+        }
+        seen.extend(p.stop(set).unwrap());
+        (seen, p.get_real_cyc())
+    }
+    let full = || papi_on(sim_x86(), fma_loop(30_000, 2));
+    let narrow = || {
+        let plan = FaultPlan {
+            counter_bits: 32,
+            preload: (1u64 << 32) - 2_000,
+            ..FaultPlan::quiet()
+        };
+        let mut m = Machine::new(sim_x86(), 42);
+        m.load(fma_loop(30_000, 2));
+        Papi::init(FaultSubstrate::new(SimSubstrate::new(m), plan)).unwrap()
     };
-    let (vals_plain, cyc_plain) = run(false);
-    let (vals_obs, cyc_obs) = run(true);
-    assert_eq!(vals_plain, vals_obs);
-    assert_eq!(cyc_plain, cyc_obs);
+    for op in [Op::Read, Op::ReadInto, Op::Accum] {
+        for multiplex in [false, true] {
+            let case = format!("{op:?}, multiplex {multiplex}");
+            let plain = run(full(), op, multiplex, None);
+            let observed = run(full(), op, multiplex, Some(papi_obs::Obs::new()));
+            assert_eq!(plain, observed, "{case}");
+            let obs = papi_obs::Obs::new();
+            let plain = run(narrow(), op, multiplex, None);
+            let observed = run(narrow(), op, multiplex, Some(obs.clone()));
+            assert_eq!(plain, observed, "{case}, 32-bit");
+            assert!(
+                obs.get(papi_obs::Counter::FaultWraps) > 0,
+                "{case}: no wrap"
+            );
+        }
+    }
+}
+
+#[test]
+fn wrong_length_read_into_is_refused_before_any_substrate_work() {
+    // SPEC §8 orders read_into's checks NotRun, buffer length, then
+    // substrate errors: a wrong-length buffer is refused before the kernel
+    // crossing, so the virtual clock does not move, a multiplexed set is
+    // not flushed, and an armed read fault does not fire.
+    use papi_obs::Counter as C;
+    let cases = [
+        ("sim:x86", false),
+        ("sim:x86", true),
+        ("fault[read=1,burst=8]:sim:x86", false),
+    ];
+    for (name, multiplex) in cases {
+        let mut p = Papi::init_named(name).unwrap();
+        assert_eq!(p.transient_retry_budget(), DEFAULT_TRANSIENT_RETRY_BUDGET);
+        let obs = papi_obs::Obs::new();
+        p.attach_obs(obs.clone());
+        let (set, n) = x86_set(&mut p, multiplex);
+        p.start(set).unwrap();
+        let cycles = p.get_real_cyc();
+        for len in [n - 1, n + 1] {
+            let r = p.read_into(set, &mut vec![0i64; len]);
+            assert!(matches!(r, Err(PapiError::Inval(_))), "{name}: {r:?}");
+        }
+        assert_eq!(p.get_real_cyc(), cycles, "{name}: refused read was charged");
+        assert_eq!(obs.get(C::MpxFlushes), 0, "{name}");
+        assert_eq!(obs.get(C::CounterReads), 0, "{name}");
+        // The same session still reads (or, under the fault, fails the way
+        // a read that reaches the substrate does).
+        let r = p.read_into(set, &mut vec![0i64; n]);
+        if name.starts_with("fault") {
+            assert!(matches!(r, Err(PapiError::SubstrateTransient(_))), "{r:?}");
+        } else {
+            r.unwrap();
+            assert!(p.get_real_cyc() > cycles);
+            assert_eq!(obs.get(C::MpxFlushes), u64::from(multiplex), "{name}");
+        }
+    }
 }
 
 #[test]

@@ -12,7 +12,7 @@
 use crate::alloc;
 use crate::error::{PapiError, Result};
 use crate::eventset::{EventSetId, OvfRoute, SetState};
-use crate::multiplex::{self, partition_events_with, MpxState, DEFAULT_MPX_PERIOD_CYCLES};
+use crate::multiplex::{partition_events_with, MpxState, DEFAULT_MPX_PERIOD_CYCLES};
 use crate::profile::{Profil, ProfilConfig};
 use crate::session::Papi;
 use crate::substrate::Substrate;
@@ -101,18 +101,16 @@ impl ReadPlan {
     /// The hot half of every read: identity plans take the vectorizable
     /// cast-copy lane; general plans run the SoA dot-product per event, a
     /// contiguous multiply-accumulate over `term_coeff`/`term_native`
-    /// slices with no tuple destructuring in the inner loop.
-    pub(crate) fn apply(&self, counts: &[u64], out: &mut [i64]) -> Result<()> {
-        let n = self.n_events();
-        if out.len() != n {
-            return Err(PapiError::Inval("value buffer length mismatch"));
-        }
+    /// slices with no tuple destructuring in the inner loop. The caller
+    /// has checked `out.len()` against [`ReadPlan::n_events`].
+    pub(crate) fn apply(&self, counts: &[u64], out: &mut [i64]) {
+        debug_assert_eq!(out.len(), self.n_events());
         if self.identity {
             // counts.len() == n by construction of identity plans.
             for (slot, &c) in out.iter_mut().zip(counts.iter()) {
                 *slot = c as i64;
             }
-            return Ok(());
+            return;
         }
         for (ev, slot) in out.iter_mut().enumerate() {
             let lo = self.term_bounds[ev] as usize;
@@ -125,7 +123,6 @@ impl ReadPlan {
             }
             *slot = acc;
         }
-        Ok(())
     }
 }
 
@@ -182,16 +179,6 @@ impl WidenState {
             tmp: Vec::with_capacity(num_counters),
             wraps: 0,
         }
-    }
-
-    /// Re-read every counter's raw value as the new delta baseline (after
-    /// counting starts, after a reset, or after reprogramming — anything
-    /// that rebases the hardware registers).
-    pub(crate) fn rebaseline<S: Substrate>(&mut self, sub: &mut S) -> Result<()> {
-        self.tmp.clear();
-        sub.read_batch(&self.all, &mut self.tmp)?;
-        self.last.copy_from_slice(&self.tmp);
-        Ok(())
     }
 
     /// Zero the accumulated counts (the baseline is re-read separately).
@@ -267,6 +254,72 @@ pub(crate) fn retry_transient<T>(
     }
 }
 
+/// Re-read every counter's raw value as the new widening baseline, under
+/// the retry budget, after anything that rebases the hardware registers
+/// (counting starts, a reset, reprogramming). A no-op on full-width
+/// substrates.
+fn rebaseline<S: Substrate>(
+    sub: &mut S,
+    obs: &Option<papi_obs::ObsHandle>,
+    now: u64,
+    budget: u32,
+    widen: &mut Option<WidenState>,
+) -> Result<()> {
+    let Some(w) = widen else { return Ok(()) };
+    retry_transient(obs, now, budget, "read", || {
+        w.tmp.clear();
+        sub.read_batch(&w.all, &mut w.tmp)?;
+        w.last.copy_from_slice(&w.tmp);
+        Ok(())
+    })
+}
+
+/// Read the live multiplex partition into `live` under the retry budget,
+/// widen each slot to its delta since the last baseline, and drain the
+/// wrap count: the flush half of both a multiplexed read and a rotation.
+fn read_live<S: Substrate>(
+    sub: &mut S,
+    obs: &Option<papi_obs::ObsHandle>,
+    now: u64,
+    budget: u32,
+    m: &MpxState,
+    widen: &mut Option<WidenState>,
+    live: &mut Vec<u64>,
+) -> Result<()> {
+    let counters = &m.partitions[m.current].counters;
+    retry_transient(obs, now, budget, "read", || {
+        live.clear();
+        sub.read_batch(counters, live)
+    })?;
+    if let Some(w) = widen {
+        for (v, &ctr) in live.iter_mut().zip(counters) {
+            *v = w.delta(ctr, *v);
+        }
+        if let Some(obs) = obs {
+            obs.add(ObsCounter::FaultWraps, w.take_wraps());
+        }
+    }
+    Ok(())
+}
+
+/// Program `codes[i]` onto physical counter `counters[i]` in `domain`,
+/// every other counter free, through the reusable `image`: the one
+/// programming routine of direct starts and multiplex partitions.
+fn program_counters<S: Substrate>(
+    sub: &mut S,
+    image: &mut Vec<Option<(u32, Domain)>>,
+    counters: &[usize],
+    codes: impl Iterator<Item = u32>,
+    domain: Domain,
+) -> Result<()> {
+    image.clear();
+    image.resize(sub.num_counters(), None);
+    for (&ctr, code) in counters.iter().zip(codes) {
+        image[ctr] = Some((code, domain));
+    }
+    sub.program(image)
+}
+
 /// Per-session reusable buffers for the hot read/accum/rotate paths.  Sized
 /// on first use, then reused forever: the steady state performs no heap
 /// allocation.
@@ -278,7 +331,7 @@ pub(crate) struct ReadScratch {
     live: Vec<u64>,
     /// Derived values staging area for `accum`.
     values: Vec<i64>,
-    /// Hardware programming image for multiplex partition switches.
+    /// Hardware programming image (direct starts and partition switches).
     prog: Vec<Option<(u32, Domain)>>,
 }
 
@@ -517,11 +570,13 @@ impl<S: Substrate> Papi<S> {
         let mut routes = Vec::new();
         match &mode {
             RunMode::Direct { assign } => {
-                let mut prog: Vec<Option<(u32, Domain)>> = vec![None; self.sub.num_counters()];
-                for (i, &ctr) in assign.iter().enumerate() {
-                    prog[ctr] = Some((plan.natives[i], domain));
-                }
-                self.sub.program(&prog)?;
+                program_counters(
+                    &mut self.sub,
+                    &mut self.scratch.prog,
+                    assign,
+                    plan.natives.iter().copied(),
+                    domain,
+                )?;
                 // Arm overflow registrations on the counter of each event's
                 // first native term.
                 for reg in &overflow {
@@ -539,7 +594,14 @@ impl<S: Substrate> Papi<S> {
                 }
             }
             RunMode::Mpx(mpx) => {
-                self.program_partition(&plan.natives, domain, &mpx.partitions[0])?;
+                let part = &mpx.partitions[0];
+                program_counters(
+                    &mut self.sub,
+                    &mut self.scratch.prog,
+                    &part.counters,
+                    part.natives.iter().map(|&n| plan.natives[n]),
+                    domain,
+                )?;
                 self.sub.set_timer(Some(mpx.period));
             }
         }
@@ -573,15 +635,10 @@ impl<S: Substrate> Papi<S> {
         // instant counting begins carry the hardware's arbitrary bias, so
         // they are recorded now and only deltas are trusted from here on.
         if let Some(run) = self.running.as_mut() {
-            if let Some(w) = run.widen.as_mut() {
-                let r = retry_transient(&self.obs, now, budget, "read", || {
-                    w.rebaseline(&mut self.sub)
-                });
-                if let Err(e) = r {
-                    let _ = self.sub.stop();
-                    self.rollback_failed_start(id)?;
-                    return Err(e);
-                }
+            if let Err(e) = rebaseline(&mut self.sub, &self.obs, now, budget, &mut run.widen) {
+                let _ = self.sub.stop();
+                self.rollback_failed_start(id)?;
+                return Err(e);
             }
         }
         Ok(())
@@ -601,63 +658,91 @@ impl<S: Substrate> Papi<S> {
         Ok(())
     }
 
-    fn program_partition(
-        &mut self,
-        natives: &[u32],
-        domain: Domain,
-        part: &multiplex::Partition,
-    ) -> Result<()> {
-        let mut prog: Vec<Option<(u32, Domain)>> = vec![None; self.sub.num_counters()];
-        for (slot, &nidx) in part.natives.iter().enumerate() {
-            prog[part.counters[slot]] = Some((natives[nidx], domain));
+    /// The running set's event count, or `NotRun` when `id` is not the
+    /// running set.
+    fn running_events(&self, id: EventSetId) -> Result<usize> {
+        match &self.running {
+            Some(r) if r.set == id => Ok(r.plan.n_events()),
+            _ => Err(PapiError::NotRun),
         }
-        self.sub.program(&prog)
     }
 
-    /// Read the running set's native counts into `self.scratch.counts`.
+    /// The one read path of `read_into`, `read`, `accum` and `stop`.
     ///
-    /// Allocation-free in steady state: the scratch buffers reach capacity
-    /// on the first call and are reused thereafter, and the cached
-    /// [`ReadPlan`]/assignment are borrowed in place (disjoint fields), never
-    /// cloned per call.
-    fn read_native_counts_into(&mut self) -> Result<()> {
-        let budget = self.retry_budget;
-        let now = self.sub.real_cycles();
-        let run = self.running.as_mut().ok_or(PapiError::NotRun)?;
+    /// Checks `NotRun`, then the buffer length, before any substrate work
+    /// (SPEC §8's order), so a refused call has no side effect. Then it
+    /// reads the running set's native counts over disjoint borrows of the
+    /// session — direct, attached, widened or multiplexed, with or without
+    /// obs — and folds them through the cached [`ReadPlan`] into `out`.
+    /// The plan, assignment and scratch buffers are borrowed in place, so
+    /// a steady-state call allocates nothing.
+    ///
+    /// The virtual clock is read only when something uses it: an attached
+    /// obs context (retry journal, read cost) or a multiplexed set (slice
+    /// accounting). Returns that reading, or 0 when it was not taken.
+    ///
+    /// Always inlined, so an unobserved direct read pays no call frame
+    /// beyond `read_into`'s: with two callers and a large multiplex arm,
+    /// the optimizer otherwise keeps it a call of its own.
+    #[inline(always)]
+    fn read_core(&mut self, id: EventSetId, out: &mut [i64]) -> Result<u64> {
+        let Papi {
+            sub,
+            running,
+            scratch,
+            retry_budget,
+            obs,
+            ..
+        } = self;
+        let (obs, budget) = (&*obs, *retry_budget);
+        let run = match running {
+            Some(run) if run.set == id => run,
+            _ => return Err(PapiError::NotRun),
+        };
+        if out.len() != run.plan.n_events() {
+            return Err(PapiError::Inval("value buffer length mismatch"));
+        }
         let Running {
             attached,
+            plan,
             mode,
             widen,
             ..
         } = run;
+        let now = if obs.is_some() || matches!(mode, RunMode::Mpx(_)) {
+            sub.real_cycles()
+        } else {
+            0
+        };
         match mode {
             RunMode::Direct { assign } => {
-                if let Some(obs) = &self.obs {
+                if let Some(obs) = obs {
                     obs.add(ObsCounter::CounterReads, assign.len() as u64);
                 }
+                let counts = &mut scratch.counts;
                 match *attached {
                     Some(t) => {
-                        self.scratch.counts.clear();
+                        counts.clear();
                         for &ctr in assign.iter() {
-                            let v = retry_transient(&self.obs, now, budget, "read", || {
-                                self.sub.read_attached(t, ctr)
+                            let v = retry_transient(obs, now, budget, "read", || {
+                                sub.read_attached(t, ctr)
                             })?;
-                            self.scratch.counts.push(v);
+                            counts.push(v);
                         }
                     }
                     // One kernel crossing for the whole counter state. The
                     // buffer is cleared inside the closure so a retried
                     // crossing never leaves partial values behind.
                     None => {
-                        retry_transient(&self.obs, now, budget, "read", || {
-                            self.scratch.counts.clear();
-                            self.sub.read_batch(assign, &mut self.scratch.counts)
+                        retry_transient(obs, now, budget, "read", || {
+                            counts.clear();
+                            sub.read_batch(assign, counts)
                         })?;
-                        if let Some(w) = widen.as_mut() {
-                            for (i, &ctr) in assign.iter().enumerate() {
-                                self.scratch.counts[i] = w.widen(ctr, self.scratch.counts[i]);
+                        if let Some(w) = widen {
+                            for (c, &ctr) in counts.iter_mut().zip(assign.iter()) {
+                                *c = w.widen(ctr, *c);
                             }
-                            if let Some(obs) = &self.obs {
+                            if let Some(obs) = obs {
                                 obs.add(ObsCounter::FaultWraps, w.take_wraps());
                             }
                         }
@@ -666,28 +751,12 @@ impl<S: Substrate> Papi<S> {
             }
             RunMode::Mpx(m) => {
                 // Flush the live partition, then leave estimates in scratch.
-                retry_transient(&self.obs, now, budget, "read", || {
-                    self.scratch.live.clear();
-                    self.sub
-                        .read_batch(&m.partitions[m.current].counters, &mut self.scratch.live)
-                })?;
-                if let Some(w) = widen.as_mut() {
-                    for (slot, &ctr) in m.partitions[m.current].counters.iter().enumerate() {
-                        self.scratch.live[slot] = w.delta(ctr, self.scratch.live[slot]);
-                    }
-                    if let Some(obs) = &self.obs {
-                        obs.add(ObsCounter::FaultWraps, w.take_wraps());
-                    }
-                }
+                read_live(sub, obs, now, budget, m, widen, &mut scratch.live)?;
                 // Avoid double counting on the next flush.
-                retry_transient(&self.obs, now, budget, "reset", || self.sub.reset())?;
-                if let Some(w) = widen.as_mut() {
-                    retry_transient(&self.obs, now, budget, "read", || {
-                        w.rebaseline(&mut self.sub)
-                    })?;
-                }
-                if let Some(obs) = &self.obs {
-                    obs.add(ObsCounter::CounterReads, self.scratch.live.len() as u64);
+                retry_transient(obs, now, budget, "reset", || sub.reset())?;
+                rebaseline(sub, obs, now, budget, widen)?;
+                if let Some(obs) = obs {
+                    obs.add(ObsCounter::CounterReads, scratch.live.len() as u64);
                     obs.inc(ObsCounter::MpxFlushes);
                     let partition = m.current;
                     let live_cycles = now.saturating_sub(m.switched_at);
@@ -696,65 +765,24 @@ impl<S: Substrate> Papi<S> {
                         live_cycles,
                     });
                 }
-                m.flush(now, &self.scratch.live);
-                m.estimates_into(&mut self.scratch.counts);
+                m.flush(now, &scratch.live);
+                m.estimates_into(&mut scratch.counts);
             }
         }
-        Ok(())
-    }
-
-    /// Fold `self.scratch.counts` through the plan's term table into `out`.
-    fn values_into(&self, out: &mut [i64]) -> Result<()> {
-        let run = self.running.as_ref().ok_or(PapiError::NotRun)?;
-        run.plan.apply(&self.scratch.counts, out)
+        plan.apply(&scratch.counts, out);
+        Ok(now)
     }
 
     /// `PAPI_read` into a caller-owned buffer: current values (the set keeps
     /// running).  `out.len()` must equal the set's event count.
     ///
-    /// This is the allocation-free form of [`Papi::read`] — on a started,
-    /// non-multiplexed set the steady-state call performs **zero heap
-    /// allocations** (asserted by papi-bench's counting-allocator test).
-    ///
-    /// The dominant configuration (direct mode, no observability, no
-    /// attach, full-width counters) takes a dedicated fast path: the
-    /// session fields are destructured once into disjoint borrows, so the
-    /// cached plan, assignment and scratch are each derived exactly once
-    /// per call — one batch kernel crossing, then the vectorized
-    /// `ReadPlan::apply`. This is what closed the boxed-vs-static gap:
-    /// the boxed-substrate path previously re-derived the `running` record
-    /// (and with it the plan pointer) three times per read, which the
-    /// optimizer could not fold across virtual-dispatch boundaries.
-    /// Transient-fault retries still compose — the retry loop wraps only
-    /// the substrate crossing, never the plan application.
+    /// This is the allocation-free form of [`Papi::read`]: a steady-state
+    /// call performs **zero heap allocations** (asserted by papi-bench's
+    /// counting-allocator test). Every mode, observed or not, runs the one
+    /// read core; transient-fault retries wrap only the substrate
+    /// crossing, never the plan application.
     pub fn read_into(&mut self, id: EventSetId, out: &mut [i64]) -> Result<()> {
-        if self.obs.is_none() {
-            let Papi {
-                sub,
-                running,
-                scratch,
-                retry_budget,
-                ..
-            } = self;
-            if let Some(run) = running.as_mut() {
-                if run.set == id && run.attached.is_none() && run.widen.is_none() {
-                    if let RunMode::Direct { assign } = &run.mode {
-                        retry_transient(&None, 0, *retry_budget, "read", || {
-                            scratch.counts.clear();
-                            sub.read_batch(assign, &mut scratch.counts)
-                        })?;
-                        return run.plan.apply(&scratch.counts, out);
-                    }
-                }
-            }
-        }
-        match &self.running {
-            Some(r) if r.set == id => {}
-            _ => return Err(PapiError::NotRun),
-        }
-        let begin_cycles = self.sub.real_cycles();
-        self.read_native_counts_into()?;
-        self.values_into(out)?;
+        let begin_cycles = self.read_core(id, out)?;
         if let Some(obs) = &self.obs {
             let now = self.sub.real_cycles();
             let cost_cycles = now.saturating_sub(begin_cycles);
@@ -771,11 +799,7 @@ impl<S: Substrate> Papi<S> {
     /// `PAPI_read`: current values (the set keeps running).  Allocates only
     /// the returned vector; use [`Papi::read_into`] to avoid even that.
     pub fn read(&mut self, id: EventSetId) -> Result<Vec<i64>> {
-        let n = match &self.running {
-            Some(r) if r.set == id => r.plan.n_events(),
-            _ => return Err(PapiError::NotRun),
-        };
-        let mut out = vec![0i64; n];
+        let mut out = vec![0i64; self.running_events(id)?];
         self.read_into(id, &mut out)?;
         Ok(out)
     }
@@ -784,10 +808,7 @@ impl<S: Substrate> Papi<S> {
     /// counters.  Allocation-free in steady state (delegates to
     /// [`Papi::read_into`] through a per-session staging buffer).
     pub fn accum(&mut self, id: EventSetId, values: &mut [i64]) -> Result<()> {
-        let n = match &self.running {
-            Some(r) if r.set == id => r.plan.n_events(),
-            _ => return Err(PapiError::NotRun),
-        };
+        let n = self.running_events(id)?;
         if values.len() != n {
             return Err(PapiError::Inval("accum buffer length mismatch"));
         }
@@ -816,29 +837,24 @@ impl<S: Substrate> Papi<S> {
     /// `PAPI_reset`: zero the running counters (and multiplex accumulators).
     pub fn reset(&mut self, id: EventSetId) -> Result<()> {
         let now = self.sub.real_cycles();
-        match &mut self.running {
-            Some(r) if r.set == id => {
-                if let RunMode::Mpx(m) = &mut r.mode {
-                    m.raw.iter_mut().for_each(|r| *r = 0);
-                    m.active_cycles.iter_mut().for_each(|a| *a = 0);
-                    m.switched_at = now;
-                }
-            }
+        let run = match &mut self.running {
+            Some(r) if r.set == id => r,
             _ => return Err(PapiError::NotRun),
+        };
+        if let RunMode::Mpx(m) = &mut run.mode {
+            m.raw.iter_mut().for_each(|r| *r = 0);
+            m.active_cycles.iter_mut().for_each(|a| *a = 0);
+            m.switched_at = now;
         }
         let budget = self.retry_budget;
         let r = retry_transient(&self.obs, now, budget, "reset", || self.sub.reset());
         if r.is_ok() {
-            // The hardware registers were rebased: re-read the widening
-            // baseline and zero the accumulated counts.
-            if let Some(run) = self.running.as_mut() {
-                if let Some(w) = run.widen.as_mut() {
-                    w.reset_acc();
-                    retry_transient(&self.obs, now, budget, "read", || {
-                        w.rebaseline(&mut self.sub)
-                    })?;
-                }
+            // The hardware registers were rebased: zero the accumulated
+            // counts and re-read the widening baseline.
+            if let Some(w) = &mut run.widen {
+                w.reset_acc();
             }
+            rebaseline(&mut self.sub, &self.obs, now, budget, &mut run.widen)?;
             if let Some(obs) = &self.obs {
                 obs.inc(ObsCounter::Resets);
                 obs.record(self.sub.real_cycles(), || ObsEvent::Reset { set: id });
@@ -849,19 +865,8 @@ impl<S: Substrate> Papi<S> {
 
     /// `PAPI_stop`: stop counting and return the final values.
     pub fn stop(&mut self, id: EventSetId) -> Result<Vec<i64>> {
-        match &self.running {
-            Some(r) if r.set == id => {}
-            _ => return Err(PapiError::NotRun),
-        }
-        let begin_cycles = self.sub.real_cycles();
-        self.read_native_counts_into()?;
-        let n = self
-            .running
-            .as_ref()
-            .map(|r| r.plan.n_events())
-            .unwrap_or(0);
-        let mut values = vec![0i64; n];
-        self.values_into(&mut values)?;
+        let mut values = vec![0i64; self.running_events(id)?];
+        let begin_cycles = self.read_core(id, &mut values)?;
         // Disarm machinery.  Stop is off the hot path, so taking the route
         // table out of the dying Running is free (it is discarded below).
         let (routes, was_mpx) = {
@@ -1028,8 +1033,7 @@ impl<S: Substrate> Papi<S> {
     /// scratch buffers in place: a steady-state rotation clones nothing and
     /// allocates nothing.
     fn rotate_mpx(&mut self) -> Result<()> {
-        let begin_cycles = self.sub.real_cycles();
-        let now = begin_cycles;
+        let now = self.sub.real_cycles();
         let budget = self.retry_budget;
         let Some(run) = self.running.as_mut() else {
             return Ok(());
@@ -1043,50 +1047,39 @@ impl<S: Substrate> Papi<S> {
             widen,
             ..
         } = run;
-        let set = *set;
         let RunMode::Mpx(m) = mode else {
             return Ok(());
         };
         let from_partition = m.current;
         let switched_at = m.switched_at;
-        retry_transient(&self.obs, now, budget, "read", || {
-            self.scratch.live.clear();
-            self.sub
-                .read_batch(&m.partitions[m.current].counters, &mut self.scratch.live)
-        })?;
-        if let Some(w) = widen.as_mut() {
-            for (slot, &ctr) in m.partitions[m.current].counters.iter().enumerate() {
-                self.scratch.live[slot] = w.delta(ctr, self.scratch.live[slot]);
-            }
-            if let Some(obs) = &self.obs {
-                obs.add(ObsCounter::FaultWraps, w.take_wraps());
-            }
-        }
+        read_live(
+            &mut self.sub,
+            &self.obs,
+            now,
+            budget,
+            m,
+            widen,
+            &mut self.scratch.live,
+        )?;
         // Fold and advance.
         m.flush(now, &self.scratch.live);
         m.rotate();
         let to_partition = m.current;
-        let domain = self.sets[set].as_ref().unwrap().domain;
-        // Program the next partition through the prog scratch (the
-        // allocation-free unrolling of `program_partition`).
+        let domain = self.sets[*set].as_ref().unwrap().domain;
         let part = &m.partitions[m.current];
-        self.scratch.prog.clear();
-        self.scratch.prog.resize(self.sub.num_counters(), None);
-        for (slot, &nidx) in part.natives.iter().enumerate() {
-            self.scratch.prog[part.counters[slot]] = Some((plan.natives[nidx], domain));
-        }
-        self.sub.program(&self.scratch.prog)?;
-        // Programming rebased the registers; re-read the widening baseline.
-        if let Some(w) = widen.as_mut() {
-            retry_transient(&self.obs, now, budget, "read", || {
-                w.rebaseline(&mut self.sub)
-            })?;
-        }
+        program_counters(
+            &mut self.sub,
+            &mut self.scratch.prog,
+            &part.counters,
+            part.natives.iter().map(|&n| plan.natives[n]),
+            domain,
+        )?;
+        rebaseline(&mut self.sub, &self.obs, now, budget, widen)?;
         // Counting restarts now; don't charge programming time to the slice.
         m.switched_at = self.sub.real_cycles();
         if let Some(obs) = &self.obs {
             let end_cycles = self.sub.real_cycles();
-            let cost_cycles = end_cycles.saturating_sub(begin_cycles);
+            let cost_cycles = end_cycles.saturating_sub(now);
             obs.inc(ObsCounter::MpxRotations);
             obs.inc(ObsCounter::MpxFlushes);
             obs.inc(ObsCounter::MpxProgramOps);

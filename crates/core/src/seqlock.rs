@@ -21,11 +21,17 @@
 //! (Acquire)` to enter, `store (Release)` to leave, so everything written
 //! inside the critical section happens-before the next acquirer. The
 //! publication side keeps every slot an individual atomic (`AtomicI64` /
-//! `AtomicU64`) with `Relaxed` element accesses bracketed by
-//! `Acquire`/`Release` stamp accesses: readers that observe an even,
-//! unchanged stamp on both sides of the copy are guaranteed a consistent
-//! snapshot, and ThreadSanitizer sees no data race because no non-atomic
-//! location is ever read concurrently with a write.
+//! `AtomicU64`) with `Relaxed` element accesses, fenced the way Boehm
+//! ("Can seqlocks get along with programming language memory models?",
+//! MSPC 2012) and Linux's seqcount fence them. The writer stores the odd
+//! stamp, then a `Release` fence, so no element store becomes visible
+//! before the odd stamp; it leaves with a `Release` store of the even
+//! stamp. The reader loads the stamp with `Acquire`, copies the elements,
+//! then issues an `Acquire` fence before re-loading the stamp, so no
+//! element load is satisfied after the re-check. A reader that sees the
+//! same even stamp on both sides therefore copied no element of a
+//! concurrent publish, and ThreadSanitizer sees no data race because no
+//! non-atomic location is ever read concurrently with a write.
 //!
 //! Spin waits yield to the scheduler after a short burst
 //! (`SPINS_BEFORE_YIELD`) so a single-core host (CI containers) makes
@@ -33,7 +39,7 @@
 //! operation such as `run_app`.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 
 /// Spin iterations before the loser of a stamp race yields its timeslice.
 const SPINS_BEFORE_YIELD: u32 = 64;
@@ -206,9 +212,11 @@ impl PublishedCounts {
     pub fn publish(&self, generation: u64, values: &[i64]) {
         let n = values.len().min(MAX_PUBLISHED_EVENTS);
         let s = self.seq.load(Ordering::Relaxed);
-        self.seq.store(s + 1, Ordering::Release);
-        // Element stores may be reordered among themselves (Relaxed) —
-        // the bracketing stamp stores are what readers validate against.
+        self.seq.store(s + 1, Ordering::Relaxed);
+        // Pairs with the Acquire fence in `snapshot`: a reader that loads
+        // any value stored below sees at least the odd stamp at its re-check.
+        // The value stores may still be reordered among themselves.
+        fence(Ordering::Release);
         self.generation.store(generation, Ordering::Relaxed);
         self.len.store(n, Ordering::Relaxed);
         for (slot, &v) in self.values.iter().zip(values.iter().take(n)) {
@@ -220,7 +228,8 @@ impl PublishedCounts {
     /// Mark the publication area empty (set stopped / nothing published).
     pub fn clear(&self) {
         let s = self.seq.load(Ordering::Relaxed);
-        self.seq.store(s + 1, Ordering::Release);
+        self.seq.store(s + 1, Ordering::Relaxed);
+        fence(Ordering::Release);
         self.len.store(0, Ordering::Relaxed);
         self.seq.store(s + 2, Ordering::Release);
     }
@@ -243,9 +252,11 @@ impl PublishedCounts {
                     for (out, slot) in values.iter_mut().zip(self.values.iter()).take(len) {
                         *out = slot.load(Ordering::Relaxed);
                     }
-                    // Acquire so the element loads cannot drift past the
-                    // validation load.
-                    let s2 = self.seq.load(Ordering::Acquire);
+                    // Pairs with the Release fence in `publish`. An Acquire
+                    // load orders only the accesses after it, so the loads
+                    // above need the fence to stay ahead of the re-check.
+                    fence(Ordering::Acquire);
+                    let s2 = self.seq.load(Ordering::Relaxed);
                     if s1 == s2 {
                         if len == 0 {
                             return None;

@@ -24,10 +24,10 @@ use simcpu::{Granularity, SampleConfig, SampleRecord, ThreadId};
 /// the default); sessions built through [`Papi::init_named`] hold a
 /// [`BoxSubstrate`] selected from the [`SubstrateRegistry`] at runtime.
 pub struct Papi<S: Substrate = SimSubstrate> {
-    // The first four fields are the complete working set of the fast-path
-    // `read_into` (dispatch.rs destructures them into disjoint borrows):
-    // keeping them adjacent keeps the steady-state read inside the
-    // struct's leading cache lines.
+    // The first five fields are the complete working set of every read
+    // (dispatch.rs's read core destructures them into disjoint borrows).
+    // Declaration order does not fix their offsets: the struct is not
+    // `repr(C)`, so rustc lays the fields out as it sees fit.
     pub(crate) sub: S,
     pub(crate) running: Option<Running>,
     /// Reusable hot-path buffers (native counts, multiplex estimates,
