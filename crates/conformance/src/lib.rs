@@ -349,12 +349,31 @@ fn check_error_model(papi: &mut Papi<BoxSubstrate>) -> CheckResult {
         papi.add_event(set, Preset::TotCyc.code()),
         "add to running set",
     )?;
+    // A buffer one longer than the one-event set. While the set runs that
+    // is `Inval`, which ranks above substrate errors, so it is raised
+    // before any kernel crossing and the virtual clock stays put (codes
+    // alone cannot show the order: retries absorb every scheduled read
+    // fault). Once the set has stopped, `NotRun` is checked first.
+    let mut long = [0i64; 2];
+    let before = papi.get_real_cyc();
+    expect(
+        papi.read_into(set, &mut long),
+        "read_into a too-long buffer",
+    )?;
+    expect(papi.accum(set, &mut long), "accum into a too-long buffer")?;
+    if papi.get_real_cyc() != before {
+        return Err("a call rejected for its buffer length crossed into the kernel".into());
+    }
     papi.run_app().map_err(|e| format!("run_app: {e}"))?;
     papi.stop(set).map_err(|e| format!("stop: {e}"))?;
     expect(papi.stop(set).map(|_| ()), "second stop")?;
+    expect(
+        papi.read_into(set, &mut long),
+        "read_into a stopped set's too-long buffer",
+    )?;
     expect(papi.add_event(set, 0x7777), "add bogus event code")?;
     expect(papi.read(9999).map(|_| ()), "read unknown set")?;
-    let want = [-9, -10, -10, -9, -7, -9];
+    let want = [-9, -10, -10, -1, -1, -9, -9, -7, -9];
     if codes != want {
         return Err(format!("error codes {codes:?}, spec says {want:?}"));
     }

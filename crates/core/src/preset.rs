@@ -230,24 +230,23 @@ impl PresetTable {
                 });
             }
         }
-        // 2. derived add / 3. derived sub
+        // 2. derived add / 3. derived sub. The allocator is asked only about
+        // a pair whose signals already match: `feasible` is pure, so the
+        // first pair accepted is the same in either order.
         for i in 0..vecs.len() {
             for j in 0..vecs.len() {
-                if i == j || !feasible(&[i, j]) {
+                if i == j {
                     continue;
                 }
-                if add(&vecs[i], &vecs[j], 1) == *want && i < j {
-                    return Some(Mapping {
-                        terms: vec![(events[i].code, 1), (events[j].code, 1)],
-                        inexact: false,
-                    });
+                let sum = i < j && add(&vecs[i], &vecs[j], 1) == *want;
+                if !(sum || add(&vecs[i], &vecs[j], -1) == *want) || !feasible(&[i, j]) {
+                    continue;
                 }
-                if add(&vecs[i], &vecs[j], -1) == *want {
-                    return Some(Mapping {
-                        terms: vec![(events[i].code, 1), (events[j].code, -1)],
-                        inexact: false,
-                    });
-                }
+                let sign = if sum { 1 } else { -1 };
+                return Some(Mapping {
+                    terms: vec![(events[i].code, 1), (events[j].code, sign)],
+                    inexact: false,
+                });
             }
         }
         // Inexact mappings are only acceptable when the native combination
@@ -280,11 +279,8 @@ impl PresetTable {
         // 5. inexact pair sum superset
         for i in 0..vecs.len() {
             for j in (i + 1)..vecs.len() {
-                if !feasible(&[i, j]) {
-                    continue;
-                }
                 let combo = add(&vecs[i], &vecs[j], 1);
-                if is_superset(&combo, want) && extra_kinds(&combo) <= 1 {
+                if is_superset(&combo, want) && extra_kinds(&combo) <= 1 && feasible(&[i, j]) {
                     return Some(Mapping {
                         terms: vec![(events[i].code, 1), (events[j].code, 1)],
                         inexact: true,

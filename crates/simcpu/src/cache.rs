@@ -113,6 +113,18 @@ impl Cache {
         hit
     }
 
+    /// Count an access to `addr` whose line is already the MRU way of its
+    /// set: the hit that [`Cache::access`] would report, which moves
+    /// nothing, without the lookup. Debug builds check the precondition.
+    pub(crate) fn access_mru(&mut self, addr: u64) {
+        let (si, tag) = self.set_and_tag(addr);
+        debug_assert!(
+            self.len[si] > 0 && self.tags[si * self.assoc] == tag,
+            "{addr:#x} is not the MRU line of its set"
+        );
+        self.accesses += 1;
+    }
+
     /// Install a line without touching access/miss statistics — the path a
     /// hardware prefetcher uses.
     pub fn install(&mut self, addr: u64) {

@@ -253,6 +253,16 @@ pub struct Machine {
     unflushed: [u64; NUM_EVENT_KINDS],
     /// True while `unflushed` may be non-zero.
     signals_pending: bool,
+    /// Block (`pc >> fetch_shift`) of the last instruction fetch, or
+    /// `u64::MAX` when none is remembered. That fetch left its line the
+    /// MRU way of its L1I set and its page the I-TLB's MRU entry. Only a
+    /// fetch or a TLB flush changes either structure (kernel crossings
+    /// pollute the L1D, the prefetcher fills the L1D and the L2), so a
+    /// fetch from the same block is an MRU hit in both that moves nothing.
+    fetch_block: u64,
+    /// log2 of the smaller of the L1I line and the page, so a block lies
+    /// inside one line and one page even where a line spans pages.
+    fetch_shift: u32,
 }
 
 /// Indices of the set bits of an [`EventKind::bit`] mask, lowest first.
@@ -274,6 +284,12 @@ impl Machine {
         let dtlb = Tlb::new(spec.mem.dtlb_entries);
         let itlb = Tlb::new(spec.mem.itlb_entries);
         let quantum = spec.quantum_cycles;
+        let fetch_shift = spec
+            .mem
+            .l1i
+            .line
+            .trailing_zeros()
+            .min(PAGE_SIZE.trailing_zeros());
         Machine {
             spec,
             pmu,
@@ -299,6 +315,8 @@ impl Machine {
             channels: HashMap::default(),
             unflushed: [0; NUM_EVENT_KINDS],
             signals_pending: false,
+            fetch_block: u64::MAX,
+            fetch_shift,
         }
     }
 
@@ -577,16 +595,25 @@ impl Machine {
     /// Run until an exit condition, or until `budget` more cycles have
     /// elapsed (if given). The PMU is current when this returns.
     pub fn run(&mut self, budget: Option<u64>) -> RunExit {
-        let deadline = budget.map(|b| self.cycles.saturating_add(b));
+        let deadline = budget.map_or(u64::MAX, |b| self.cycles.saturating_add(b));
         // Armed thresholds and truth histograms must see every instruction.
-        let per_inst = self.pmu.overflow_armed() || self.truth.is_some();
+        let armed = self.pmu.overflow_armed();
+        let per_inst = armed || self.truth.is_some();
+        // Whether a sample, an overflow or a timer tick can end the run
+        // after an instruction retires. This holds for the whole call:
+        // sampling, the timer and thresholds change only between calls,
+        // only an armed counter raises an overflow, and only a raised
+        // overflow queues a skid.
+        let events = armed
+            || self.pmu.overflow_pending()
+            || !self.pending.is_empty()
+            || self.pmu.sampling_enabled()
+            || self.timer.is_some();
         let exit = loop {
-            if let Some(d) = deadline {
-                if self.cycles >= d {
-                    break RunExit::CycleLimit;
-                }
+            if self.cycles >= deadline {
+                break RunExit::CycleLimit;
             }
-            if let Some(exit) = self.step(per_inst) {
+            if let Some(exit) = self.step(per_inst, events) {
                 break exit;
             }
         };
@@ -636,6 +663,7 @@ impl Machine {
         if self.spec.mem.tlb_flush_on_switch {
             self.dtlb.flush();
             self.itlb.flush();
+            self.fetch_block = u64::MAX;
         }
         if self.granularity == Granularity::Thread {
             self.flush_signals();
@@ -701,8 +729,9 @@ impl Machine {
     /// Execute one instruction of the current thread. Returns an exit if
     /// one must be delivered to software. The instruction's signals go to
     /// `unflushed`; with `per_inst` they reach the PMU (and the truth
-    /// histograms) before this returns.
-    fn step(&mut self, per_inst: bool) -> Option<RunExit> {
+    /// histograms) before this returns. Without `events` no sample,
+    /// overflow or timer tick can be due, and their checks are skipped.
+    fn step(&mut self, per_inst: bool, events: bool) -> Option<RunExit> {
         // The running thread keeps the core until its quantum ends.
         let stays = self.cycles < self.quantum_next
             && self.threads.get(self.current).is_some_and(Self::runnable);
@@ -765,17 +794,25 @@ impl Machine {
 
         // --- fetch ---
         let mut fetched = EventKind::L1IAccess.bit();
-        if !self.itlb.access(pc) {
-            fetched |= EventKind::ItlbMiss.bit();
-            mem_stall += mem.tlb_walk as u64;
-        }
-        if !self.l1i.access(pc) {
-            fetched |= EventKind::L1IMiss.bit() | EventKind::L2Access.bit();
-            if self.l2.access(pc) {
-                mem_stall += mem.l2_lat as u64;
-            } else {
-                fetched |= EventKind::L2Miss.bit();
-                mem_stall += mem.l2_lat as u64 + mem.mem_lat as u64;
+        let block = pc >> self.fetch_shift;
+        if block == self.fetch_block {
+            // See `fetch_block`: two MRU hits, only their counts move.
+            self.itlb.access_mru(pc);
+            self.l1i.access_mru(pc);
+        } else {
+            self.fetch_block = block;
+            if !self.itlb.access(pc) {
+                fetched |= EventKind::ItlbMiss.bit();
+                mem_stall += mem.tlb_walk as u64;
+            }
+            if !self.l1i.access(pc) {
+                fetched |= EventKind::L1IMiss.bit() | EventKind::L2Access.bit();
+                if self.l2.access(pc) {
+                    mem_stall += mem.l2_lat as u64;
+                } else {
+                    fetched |= EventKind::L2Miss.bit();
+                    mem_stall += mem.l2_lat as u64 + mem.mem_lat as u64;
+                }
             }
         }
 
@@ -890,7 +927,10 @@ impl Machine {
 
         // --- commit ---
         let mut kind_mask = fetched | executed | EventKind::Cycles.bit();
-        for k in kinds_in(fetched).chain(kinds_in(executed)) {
+        for k in kinds_in(fetched) {
+            self.unflushed[k] += 1;
+        }
+        for k in kinds_in(executed) {
             self.unflushed[k] += 1;
         }
         if visible_stall > 0 {
@@ -914,6 +954,9 @@ impl Machine {
         th.user_cycles += cost;
         self.cycles += cost;
         self.retired += 1;
+        if !events {
+            return None;
+        }
 
         // --- precise sampling ---
         if self.pmu.sampling_enabled() {
@@ -1377,6 +1420,21 @@ mod tests {
         let exit = m.run(Some(1000));
         assert_eq!(exit, RunExit::CycleLimit);
         assert!(m.cycles() >= 1000);
+    }
+
+    #[test]
+    fn overflow_raised_while_disarming_is_delivered_by_the_next_run() {
+        // The disarming crossing's own kernel cycles cross the threshold,
+        // so an overflow is pending once nothing is armed any more.
+        let mut m = machine_with(fp_program(100, 4));
+        program_counter(&mut m, 0, "GEN_CYCLES");
+        m.pmu_mut().start();
+        let program = m.spec().costs.program_cycles;
+        m.costed_set_overflow(0, Some(program)).unwrap();
+        m.costed_set_overflow(0, None).unwrap();
+        assert!(!m.pmu().overflow_armed() && m.pmu().overflow_pending());
+        assert!(matches!(m.run(None), RunExit::Overflow { counter: 0, .. }));
+        assert_eq!(m.run(None), RunExit::Halted);
     }
 
     #[test]

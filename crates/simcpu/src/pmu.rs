@@ -471,6 +471,12 @@ impl Pmu {
         std::mem::take(&mut self.pending_overflow)
     }
 
+    /// True while an overflow is pending. It can outlive its threshold: a
+    /// kernel crossing that disarms a counter may raise one first.
+    pub(crate) fn overflow_pending(&self) -> bool {
+        self.pending_overflow != 0
+    }
+
     // --- precise sampling -------------------------------------------------
 
     /// Enable or disable precise sampling.

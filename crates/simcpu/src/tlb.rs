@@ -28,9 +28,10 @@ impl Tlb {
     /// Translate `addr`; returns `true` on a TLB hit.
     ///
     /// The list is kept in recency order in place: a hit on the MRU entry
-    /// (the common case: the I-TLB sees every instruction, and consecutive
-    /// instructions share a page) moves nothing, any other hit rotates only
-    /// the entries in front of it, and a miss shifts the list once.
+    /// moves nothing, any other hit rotates only the entries in front of
+    /// it, and a miss shifts the list once. The machine looks the I-TLB up
+    /// only when a fetch leaves the line or page of the fetch before it;
+    /// any other fetch only counts an access.
     pub fn access(&mut self, addr: u64) -> bool {
         self.accesses += 1;
         let page = addr / PAGE_SIZE;
@@ -48,6 +49,17 @@ impl Tlb {
             self.pages[0] = page;
             false
         }
+    }
+
+    /// Count a translation of `addr` whose page is already the MRU entry:
+    /// the hit that [`Tlb::access`] would report, which moves nothing,
+    /// without the lookup. Debug builds check the precondition.
+    pub(crate) fn access_mru(&mut self, addr: u64) {
+        debug_assert!(
+            self.pages.first() == Some(&(addr / PAGE_SIZE)),
+            "{addr:#x} is not on the MRU page"
+        );
+        self.accesses += 1;
     }
 
     pub fn accesses(&self) -> u64 {
