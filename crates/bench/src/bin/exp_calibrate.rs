@@ -3,14 +3,15 @@
 //! flagged discrepancies (the POWER3 rounding-instruction anecdote).
 
 use papi_bench::banner;
-use papi_tools::{calibrate_all_parallel, render_report};
-use papi_workloads::calibration_suite;
-use simcpu::all_platforms;
+use papi_tools::{default_platforms, render_report, run_calibration};
+use std::sync::Arc;
 
 fn main() {
     banner("E4 / §4", "calibration: expected vs measured per platform");
 
-    let rows = calibrate_all_parallel(&all_platforms(), &calibration_suite(), 7);
+    let reg = Arc::new(papi_tools::full_registry());
+    let platforms = default_platforms(&reg);
+    let rows = run_calibration(&reg, &platforms, 7).expect("built-in platforms calibrate");
     println!("\n{}", render_report(&rows));
 
     let total = rows.len();
@@ -31,7 +32,7 @@ fn main() {
 
     println!(
         "summary: {total} measurements across {} platforms",
-        all_platforms().len()
+        platforms.len()
     );
     println!("  exact mappings     : {exact_pass}/{exact_rows} match the analytic count exactly");
     println!("  inexact mappings   : {flagged} (library-flagged), {flagged_mismatch} of which differ from the analytic count");

@@ -6,38 +6,13 @@
 //! counter reprogram. This sweep quantifies both sides — the trade-off the
 //! PAPI mailing-list discussion in §2 was implicitly about.
 
-use papi_bench::{banner, baseline_cycles, papi_on, pct};
+use papi_bench::{banner, baseline_cycles, fp_then_mem, papi_on, pct};
 use papi_core::Preset;
 use simcpu::platform::sim_x86;
-use simcpu::{AddrGen, Program, ProgramBuilder};
-
-fn workload(iters: u32) -> (Program, [i64; 3]) {
-    let mut b = ProgramBuilder::new();
-    b.func("fp", |f| {
-        f.loop_(iters, |f| {
-            f.ffma(3);
-            f.fdiv(1);
-        });
-    });
-    b.func("mem", |f| {
-        f.loop_(iters, |f| {
-            f.load(AddrGen::Stride {
-                base: 0x10_0000,
-                stride: 64,
-                len: 1 << 16,
-            });
-        });
-    });
-    b.func("main", |f| {
-        f.call("fp");
-        f.call("mem");
-    });
-    let it = iters as i64;
-    (b.build("main"), [3 * it, it, it]) // FMA, FDV, LD
-}
 
 fn run(period: u64, iters: u32) -> (f64, f64) {
-    let (prog, truth) = workload(iters);
+    let it = iters as i64;
+    let (prog, truth) = (fp_then_mem(iters), [3 * it, it, it]); // FMA, FDV, LD
     let base = baseline_cycles(sim_x86(), prog.clone(), 8);
     let mut papi = papi_on(sim_x86(), prog, 8);
     let set = papi.create_eventset();

@@ -6,7 +6,7 @@
 //! phased (non-stationary) workload, reporting the worst relative
 //! estimation error across the multiplexed events.
 
-use papi_bench::{banner, papi_on, pct};
+use papi_bench::{banner, fp_then_mem, papi_on, pct};
 use papi_core::{Papi, Preset, SimSubstrate};
 use simcpu::platform::sim_x86;
 use simcpu::{AddrGen, Program, ProgramBuilder};
@@ -30,32 +30,10 @@ fn stationary(iters: u32) -> (Program, Vec<i64>) {
     (b.build("main"), vec![3 * it, it, it, 6 * it + 2])
 }
 
-/// Phased workload: all FP first, all memory second — the multiplexer's
-/// worst case, since each event class is concentrated in one time slice
-/// region.
+/// Phased workload ([`fp_then_mem`]): the multiplexer's worst case.
 fn phased_2(iters: u32) -> (Program, Vec<i64>) {
-    let mut b = ProgramBuilder::new();
-    b.func("fp", |f| {
-        f.loop_(iters, |f| {
-            f.ffma(3);
-            f.fdiv(1);
-        });
-    });
-    b.func("mem", |f| {
-        f.loop_(iters, |f| {
-            f.load(AddrGen::Stride {
-                base: 0x10_0000,
-                stride: 64,
-                len: 1 << 16,
-            });
-        });
-    });
-    b.func("main", |f| {
-        f.call("fp");
-        f.call("mem");
-    });
     let it = iters as i64;
-    (b.build("main"), vec![3 * it, it, it, 7 * it + 6])
+    (fp_then_mem(iters), vec![3 * it, it, it, 7 * it + 6])
 }
 
 fn worst_error(papi: &mut Papi<SimSubstrate>, truth: &[i64]) -> f64 {

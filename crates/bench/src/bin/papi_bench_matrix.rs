@@ -3,9 +3,10 @@
 //!
 //! ```text
 //! papi_bench_matrix --config benches/matrix.toml
-//!     [--baseline results/bench_matrix.json]   diff + exit 1 on regression
+//!     [--baseline results/bench_matrix.json]   diff + exit 1 on any change
 //!     [--out PATH] [--txt PATH]                write the JSON / text report
 //!     [--smoke]                                tiny iters, assertions only
+//!                                              (not with --baseline)
 //!     [--json]                                 print the JSON document
 //! ```
 //!
@@ -20,10 +21,12 @@
 //! config or baseline error (a baseline that is not a report golden is
 //! refused with its line before any cell runs, and so is a config naming a
 //! substrate the registry cannot open — `file:` paths resolve against the
-//! working directory).  Regressions are compared
-//! on **virtual cycles per op** (deterministic for a given config + seed),
-//! so the CI gate does not flake with host load; each line names the cell
-//! and the baseline line number, `papi_validate` style.
+//! working directory).  The gate compares every cell's deterministic
+//! columns (support, sizes, vcyc/op, allocs/op, start spread, obs deltas)
+//! exactly as rendered, so it does not flake with host load; each finding
+//! names the cell, the columns that differ and the baseline line number,
+//! `papi_validate` style.  `--smoke` shrinks the sizes the golden records,
+//! so it cannot be combined with `--baseline` (exit 2).
 //!
 //! Two invariants from the retired bespoke harnesses are asserted on
 //! every run, including `--smoke`:
@@ -80,6 +83,10 @@ fn main() {
     let Some(config_path) = config_path else {
         usage()
     };
+    if smoke && baseline_path.is_some() {
+        eprintln!("--smoke sizes never match a baseline's");
+        usage()
+    }
     // Under --json stdout carries the document alone.
     macro_rules! say {
         ($($arg:tt)*) => {

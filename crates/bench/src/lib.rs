@@ -5,7 +5,7 @@
 //! outputs.
 
 use papi_core::{BoxSubstrate, Papi, SimSubstrate, Substrate};
-use simcpu::{Machine, PlatformSpec, Program};
+use simcpu::{AddrGen, Machine, PlatformSpec, Program, ProgramBuilder};
 
 pub mod matrix;
 
@@ -39,6 +39,34 @@ pub fn baseline_cycles(spec: PlatformSpec, program: Program, seed: u64) -> u64 {
     m.load(program);
     m.run_to_halt();
     m.cycles()
+}
+
+/// The phased program of E5 and its slice-length ablation: `fp` runs
+/// `iters` iterations of three FMAs and a divide, then `mem` runs `iters`
+/// strided loads — all FP first, all memory second, the multiplexer's
+/// worst case, since each event class is concentrated in one time region.
+pub fn fp_then_mem(iters: u32) -> Program {
+    let mut b = ProgramBuilder::new();
+    b.func("fp", |f| {
+        f.loop_(iters, |f| {
+            f.ffma(3);
+            f.fdiv(1);
+        });
+    });
+    b.func("mem", |f| {
+        f.loop_(iters, |f| {
+            f.load(AddrGen::Stride {
+                base: 0x10_0000,
+                stride: 64,
+                len: 1 << 16,
+            });
+        });
+    });
+    b.func("main", |f| {
+        f.call("fp");
+        f.call("mem");
+    });
+    b.build("main")
 }
 
 /// An experiment banner: the claim between two rules, no trailing newline.

@@ -10,7 +10,6 @@
 //! ```toml
 //! schema = 1
 //! [matrix]            # run-wide knobs (seed, warmup, iters, reps)
-//! [gate]              # regression-gate threshold
 //! [axes]              # default axis values inherited by every bench
 //! [[bench]]           # one benchmark; may override any axis
 //! name = "read_into"
@@ -139,9 +138,6 @@ pub struct CellSpec {
     pub iters: u64,
     /// Repetitions; wall ns/op reports the minimum (best-of) repetition.
     pub reps: u32,
-    /// Regression-gate threshold: a cell fails the baseline diff when
-    /// `current_vcyc / baseline_vcyc > gate_ratio`.
-    pub gate_ratio: f64,
 }
 
 impl CellSpec {
@@ -190,7 +186,6 @@ pub struct MatrixConfig {
     pub warmup: u64,
     pub iters: u64,
     pub reps: u32,
-    pub gate_ratio: f64,
     pub benches: Vec<BenchDef>,
 }
 
@@ -198,14 +193,13 @@ impl MatrixConfig {
     /// Parse a matrix file.  Every failure names a check and a line.
     pub fn parse(text: &str) -> Result<MatrixConfig, TomlError> {
         let doc = toml::parse(text)?;
-        doc.check_sections(&["matrix", "gate", "axes"], &["bench"])?;
+        doc.check_sections(&["matrix", "axes"], &["bench"])?;
         doc.check_schema(SCHEMA_VERSION)?;
         let section = |name, allowed| {
             doc.single(name)
                 .map_or(Ok(Keys::default()), |v| Keys::read(&v, allowed))
         };
         let run = section("matrix", &["seed", "warmup", "iters", "reps"])?;
-        let gate = section("gate", &["max_ratio"])?;
         let axes = section("axes", &AXES)?;
         let d_subs = axes
             .substrates
@@ -270,7 +264,6 @@ impl MatrixConfig {
             warmup: run.warmup.unwrap_or(64),
             iters: run.iters.unwrap_or(2048),
             reps: run.reps.unwrap_or(1),
-            gate_ratio: gate.max_ratio.unwrap_or(1.5),
             benches,
         })
     }
@@ -296,7 +289,6 @@ impl MatrixConfig {
                                     warmup: self.warmup,
                                     iters: self.iters,
                                     reps: self.reps,
-                                    gate_ratio: self.gate_ratio,
                                 });
                             }
                         }
@@ -326,7 +318,7 @@ const BENCH_KEYS: [&str; 7] = [
     "faults",
 ];
 
-/// The optional keys of `[matrix]`, `[gate]`, `[axes]` and `[[bench]]`,
+/// The optional keys of `[matrix]`, `[axes]` and `[[bench]]`,
 /// each read by one rule wherever it appears.
 #[derive(Default)]
 struct Keys {
@@ -334,7 +326,6 @@ struct Keys {
     warmup: Option<u64>,
     iters: Option<u64>,
     reps: Option<u32>,
-    max_ratio: Option<f64>,
     substrates: Option<Vec<String>>,
     threads: Option<Vec<usize>>,
     events: Option<Vec<usize>>,
@@ -353,7 +344,6 @@ impl Keys {
             reps: v
                 .opt("reps", |v, k| v.ranged(k, 1, 1000))?
                 .map(|r| r as u32),
-            max_ratio: v.opt("max_ratio", ratio)?,
             substrates: v.opt("substrates", substrates)?,
             threads: v.opt("threads", |v, k| counts(v, k, 64))?,
             events: v.opt("events", |v, k| counts(v, k, CELL_EVENTS.len()))?,
@@ -367,18 +357,6 @@ impl Keys {
 
 fn positive(v: &View, key: &str) -> Result<u64, TomlError> {
     Ok(v.ranged(key, 1, i64::MAX)? as u64)
-}
-
-fn ratio(v: &View, key: &str) -> Result<f64, TomlError> {
-    let f = v.float(key)?;
-    if f <= 1.0 {
-        return Err(v.err(
-            key,
-            "bad-value",
-            format!("{}.{key} must be a ratio > 1.0 (got {f})", v.what),
-        ));
-    }
-    Ok(f)
 }
 
 /// A non-empty axis (`axis-empty` otherwise) of items `item` accepts.
@@ -457,7 +435,6 @@ mod tests {
     fn minimal_config_parses_with_defaults() {
         let cfg = MatrixConfig::parse(MINIMAL).unwrap();
         assert_eq!(cfg.seed, 42);
-        assert_eq!(cfg.gate_ratio, 1.5);
         assert_eq!(cfg.benches.len(), 1);
         let cells = cfg.expand();
         assert_eq!(cells.len(), 1);
@@ -530,7 +507,11 @@ mod tests {
             ),
             ("schema = 1\n[matrix]\niters = 0\n", "int-range", 3),
             ("schema = 1\n[matrix]\niters = \"many\"\n", "bad-value", 3),
-            ("schema = 1\n[gate]\nmax_ratio = 1.0\n", "bad-value", 3),
+            (
+                "schema = 1\n[gate]\nmax_ratio = 1.5\n",
+                "unknown-section",
+                2,
+            ),
             ("schema = 1\n[axes]\nthreads = []\n", "axis-empty", 3),
             ("schema = 1\n[axes]\nthreads = [0]\n", "int-range", 3),
             ("schema = 1\n[[bench]]\nop = \"read\"\n", "missing-key", 2),

@@ -16,34 +16,50 @@ pub const REPORT_SCHEMA: u32 = 1;
 /// cell per line, `], "scores": [`, one score per line, `]}`.
 pub const REPORT_LAYOUT: Layout = Layout { spaced_outer: true };
 
+/// The columns of a cell that do not depend on the host: support, sizes,
+/// vcyc/op, allocs/op, start spread and the obs deltas.  A config and
+/// seed reproduce them exactly, so the baseline gate compares them as
+/// rendered.
+const DETERMINISTIC_COLUMNS: [&str; 9] = [
+    "supported",
+    "iters",
+    "reps",
+    "vcyc_per_op",
+    "allocs_per_op",
+    "spread_vcyc",
+    "reads",
+    "mpx_rotations",
+    "fault_retries",
+];
+
+/// One cell's report row.
+fn cell_row(c: &CellResult) -> Value {
+    Value::object([
+        ("bench", c.spec.bench.to_json()),
+        ("substrate", c.spec.substrate.to_json()),
+        ("threads", c.spec.threads.to_json()),
+        ("events", c.spec.events.to_json()),
+        ("mpx", if c.spec.mpx { "mpx" } else { "dir" }.to_json()),
+        ("supported", c.supported.to_json()),
+        ("iters", c.spec.iters.to_json()),
+        ("reps", c.spec.reps.to_json()),
+        ("vcyc_per_op", Value::fixed(c.vcyc_per_op, 4)),
+        ("ns_per_op", Value::fixed(c.ns_per_op, 1)),
+        ("cpu_ns_per_op", Value::fixed(c.cpu_ns_per_op, 1)),
+        ("cpu_clock", c.cpu_clock.to_json()),
+        ("allocs_per_op", Value::fixed(c.allocs_per_op, 2)),
+        ("spread_vcyc", c.barrier_spread_vcyc.to_json()),
+        ("reads", c.obs_reads.to_json()),
+        ("mpx_rotations", c.obs_mpx_rotations.to_json()),
+        ("fault_retries", c.obs_fault_retries.to_json()),
+    ])
+}
+
 /// Serialize cells + scores as line-per-cell JSON.  Line 1 is the
 /// header, so the first cell sits on line 2 — the line numbers baseline
 /// diffs report.
 pub fn render_matrix_json(cells: &[CellResult], scores: &[BenchScore]) -> String {
-    let cells = cells
-        .iter()
-        .map(|c| {
-            Value::object([
-                ("bench", c.spec.bench.to_json()),
-                ("substrate", c.spec.substrate.to_json()),
-                ("threads", c.spec.threads.to_json()),
-                ("events", c.spec.events.to_json()),
-                ("mpx", if c.spec.mpx { "mpx" } else { "dir" }.to_json()),
-                ("supported", c.supported.to_json()),
-                ("iters", c.spec.iters.to_json()),
-                ("reps", c.spec.reps.to_json()),
-                ("vcyc_per_op", Value::fixed(c.vcyc_per_op, 4)),
-                ("ns_per_op", Value::fixed(c.ns_per_op, 1)),
-                ("cpu_ns_per_op", Value::fixed(c.cpu_ns_per_op, 1)),
-                ("cpu_clock", c.cpu_clock.to_json()),
-                ("allocs_per_op", Value::fixed(c.allocs_per_op, 2)),
-                ("spread_vcyc", c.barrier_spread_vcyc.to_json()),
-                ("reads", c.obs_reads.to_json()),
-                ("mpx_rotations", c.obs_mpx_rotations.to_json()),
-                ("fault_retries", c.obs_fault_retries.to_json()),
-            ])
-        })
-        .collect();
+    let cells = cells.iter().map(cell_row).collect();
     let scores = scores
         .iter()
         .map(|s| {
@@ -93,12 +109,10 @@ pub fn read_baseline(text: &str) -> Result<Vec<BaselineRow>, BaselineError> {
     })
 }
 
-/// Diff `current` against baseline rows.  A cell regresses when
-/// `current_vcyc / baseline_vcyc` exceeds its spec's `gate_ratio`, when it
-/// turned unsupported, or when it vanished; virtual cycles make the
-/// comparison deterministic, so the gate is not flaky.  A cell that turned
-/// supported or runs faster than the gate's reciprocal is better: a stale
-/// baseline, never a failure.
+/// Diff `current` against baseline rows.  A cell regresses when any of
+/// its nine deterministic columns differs from its baseline row as
+/// rendered, or when it vanished; the finding names each differing
+/// column.  Host timings are not compared, so the gate is not flaky.
 pub fn diff_against_baseline(current: &[CellResult], baseline: &[BaselineRow]) -> Diff {
     json::diff_baseline(
         baseline,
@@ -106,23 +120,17 @@ pub fn diff_against_baseline(current: &[CellResult], baseline: &[BaselineRow]) -
         |c| c.spec.coord(),
         |_| "missing from current run".to_string(),
         |row, c| {
-            let supported = row.get("supported").and_then(Value::as_bool) == Some(true);
-            let was = row
-                .get("vcyc_per_op")
-                .and_then(Value::as_f64)
-                .unwrap_or(0.0);
-            let (ratio, limit) = (c.vcyc_per_op / was, c.spec.gate_ratio);
-            let change = || format!("vcyc/op {was:.4} -> {:.4} ({ratio:.2}x", c.vcyc_per_op);
-            match (supported, c.supported) {
-                (true, false) => Verdict::Worse("supported -> unsupported".into()),
-                (false, true) => Verdict::Better("unsupported -> supported".into()),
-                (true, true) if was > 0.0 && ratio > limit => {
-                    Verdict::Worse(format!("{} > limit {limit:.2}x)", change()))
-                }
-                (true, true) if was > 0.0 && ratio < 1.0 / limit => {
-                    Verdict::Better(format!("{}) — refresh the baseline", change()))
-                }
-                _ => Verdict::Same,
+            let now = cell_row(c);
+            let shown = |v: Option<&Value>| v.map_or("-".to_string(), Value::to_compact);
+            let changed: Vec<String> = DETERMINISTIC_COLUMNS
+                .iter()
+                .filter(|&&k| row.get(k) != now.get(k))
+                .map(|&k| format!("{k} {} -> {}", shown(row.get(k)), shown(now.get(k))))
+                .collect();
+            if changed.is_empty() {
+                Verdict::Same
+            } else {
+                Verdict::Worse(changed.join(", "))
             }
         },
     )

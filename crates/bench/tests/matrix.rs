@@ -13,7 +13,6 @@ use papi_bench::matrix::{
 };
 use papi_obs::json::{BaselineRow, ToJson, Value};
 use papi_obs::{Counter, Obs};
-use std::collections::HashMap;
 
 /// A small but representative config: two benches, two substrates, a
 /// fault schedule, single- and multi-thread cells, direct and mpx modes.
@@ -25,9 +24,6 @@ seed = 7
 warmup = 16
 iters = 64
 reps = 2
-
-[gate]
-max_ratio = 1.5
 
 [axes]
 substrates = ["sim:x86", "sim:generic"]
@@ -65,7 +61,6 @@ fn one_spec(substrate: &str, threads: usize, seed: u64) -> CellSpec {
         warmup: 16,
         iters: 64,
         reps: 1,
-        gate_ratio: 1.5,
     }
 }
 
@@ -122,9 +117,9 @@ fn vcyc_of(row: &BaselineRow) -> f64 {
         .unwrap()
 }
 
-/// Planted regression: doctor one baseline cell to half its virtual cost
-/// and the diff must fail naming exactly that cell *and* the line it
-/// occupies in the baseline document.
+/// Planted regression: doctor one baseline cell to one read more than the
+/// run counts and the diff must fail naming exactly that cell, the column
+/// *and* the line the cell occupies in the baseline document.
 #[test]
 fn planted_regression_names_cell_and_baseline_line() {
     let results = small_results();
@@ -149,10 +144,11 @@ fn planted_regression_names_cell_and_baseline_line() {
     );
     assert!(self_diff.added.is_empty());
 
-    // Plant: pretend the 5th cell used to be twice as fast.
+    // Plant: pretend the 5th cell used to count one read more.
     let victim = 4.min(baseline.len() - 1);
-    let halved = vcyc_of(&baseline[victim]) / 2.0;
-    set(&mut baseline[victim], "vcyc_per_op", halved.to_json());
+    let reads = baseline[victim].value.get("reads").and_then(Value::as_u64);
+    let reads = reads.expect("reads column");
+    set(&mut baseline[victim], "reads", (reads + 1).to_json());
     let coord = baseline[victim].cell.clone();
     let line = baseline[victim].line;
 
@@ -161,11 +157,7 @@ fn planted_regression_names_cell_and_baseline_line() {
     let r = &diff.worse[0];
     assert_eq!(r.cell, coord);
     assert_eq!(r.line, line);
-    assert!(
-        r.detail.contains("2.00x"),
-        "detail carries the ratio: {}",
-        r.detail
-    );
+    assert_eq!(r.detail, format!("reads {} -> {reads}", reads + 1));
     let shown = format!("{r}");
     assert!(shown.contains(&coord), "display names the cell: {shown}");
     assert!(
@@ -196,10 +188,10 @@ fn missing_and_added_cells_are_classified() {
     assert_eq!(diff.added, vec![results[0].spec.coord()]);
 }
 
-/// A cell that turned unsupported regresses; one that turned supported is
-/// an improvement, never a failure.
+/// A cell whose support changed is a finding either way: the golden pins
+/// support like every other deterministic column.
 #[test]
-fn support_transitions_are_gated_asymmetrically() {
+fn support_transitions_are_findings_either_way() {
     let results = small_results();
     let doc = render_matrix_json(&results, &score_matrix(&results));
 
@@ -211,13 +203,15 @@ fn support_transitions_are_gated_asymmetrically() {
     };
     let diff = diff_against_baseline(&dead, &read_baseline(&doc).unwrap());
     assert_eq!(diff.worse.len(), 1);
-    assert!(diff.worse[0].detail.contains("unsupported"));
+    let detail = &diff.worse[0].detail;
+    assert!(detail.starts_with("supported true -> false, "), "{detail}");
 
     let mut baseline = read_baseline(&doc).unwrap();
     set(&mut baseline[0], "supported", Value::Bool(false));
     let diff = diff_against_baseline(&results, &baseline);
-    assert!(diff.clean());
-    assert!(diff.better.iter().any(|i| i.detail.contains("supported")));
+    assert_eq!(diff.worse.len(), 1);
+    assert_eq!(diff.worse[0].detail, "supported false -> true");
+    assert!(diff.better.is_empty());
 }
 
 /// The `papi_bench_matrix --baseline` gate on doctored copies of the
@@ -245,44 +239,32 @@ fn gate_refuses_damaged_baselines_and_names_doctored_lines() {
         "line 6: not exactly one cell object"
     );
 
-    // Run the doctored cell alone and defend only its row.
+    // Run the doctored cell alone, at its shipped size, and defend only
+    // its row.
     let coord = "read_into/sim:x86/4t/1ev/dir";
     let mut rows = read_baseline(&golden.replacen(line, &cheap, 1)).unwrap();
     rows.retain(|r| r.cell == coord);
     let cfg = MatrixConfig::parse(&read("benches/matrix.toml")).unwrap();
-    let mut spec = cfg
+    let spec = cfg
         .expand()
         .into_iter()
         .find(|s| s.coord() == coord)
         .unwrap();
-    (spec.iters, spec.reps) = (64, 1);
     let diff = diff_against_baseline(&run_matrix(&[spec], &RunOptions::default()), &rows);
     let findings: Vec<String> = diff.worse.iter().map(ToString::to_string).collect();
     assert_eq!(
         findings,
-        ["read_into/sim:x86/4t/1ev/dir: vcyc/op 100.0000 -> 800.0000 (8.00x > limit 1.50x) (baseline line 6)"]
+        ["read_into/sim:x86/4t/1ev/dir: vcyc_per_op 100.0000 -> 800.0000 (baseline line 6)"]
     );
 }
 
 /// `benches/matrix.toml` as shipped reproduces `results/bench_matrix.json`
-/// in every column that does not depend on the host: support, sizes,
-/// vcyc/op as rendered, allocs/op, start spread and the obs deltas of all
-/// cells, and the PP scores rows.  These are what the library does per op,
-/// so unlike the `max_ratio` gate this pins them exactly.  A mismatch
-/// names the cell and its golden line.
+/// in every column that does not depend on the host (the baseline gate's
+/// comparison) and in the PP scores rows.  These are what the library does
+/// per op, so they are pinned exactly.  A mismatch names the cell, the
+/// column and its golden line.
 #[test]
 fn shipped_matrix_reproduces_the_golden_deterministic_columns() {
-    const DETERMINISTIC: [&str; 9] = [
-        "supported",
-        "iters",
-        "reps",
-        "vcyc_per_op",
-        "allocs_per_op",
-        "spread_vcyc",
-        "reads",
-        "mpx_rotations",
-        "fault_retries",
-    ];
     // `file:platforms/...` substrates resolve against the working
     // directory, so run from the repository root as the CLI does (no
     // other test here reads a relative path).
@@ -293,29 +275,13 @@ fn shipped_matrix_reproduces_the_golden_deterministic_columns() {
     let doc = render_matrix_json(&results, &score_matrix(&results));
     let golden = read("results/bench_matrix.json");
 
-    let run: HashMap<String, Value> = read_baseline(&doc)
-        .unwrap()
-        .into_iter()
-        .map(|r| (r.cell, r.value))
-        .collect();
-    let rows = read_baseline(&golden).unwrap();
-    assert_eq!(rows.len(), run.len(), "cells in the golden and in the run");
-    let mut mismatches = Vec::new();
-    for row in &rows {
-        let Some(cell) = run.get(&row.cell) else {
-            mismatches.push(format!("{} (golden line {}): not run", row.cell, row.line));
-            continue;
-        };
-        for key in DETERMINISTIC {
-            let (want, got) = (row.value.get(key), cell.get(key));
-            if want != got {
-                mismatches.push(format!(
-                    "{} (golden line {}): {key} {want:?} -> {got:?}",
-                    row.cell, row.line
-                ));
-            }
-        }
-    }
+    let diff = diff_against_baseline(&results, &read_baseline(&golden).unwrap());
+    assert!(
+        diff.added.is_empty(),
+        "cells not in the golden: {:?}",
+        diff.added
+    );
+    let mut mismatches: Vec<String> = diff.worse.iter().map(ToString::to_string).collect();
     let scores = |text: &str| -> Vec<(usize, String)> {
         (1..)
             .zip(text.lines().map(str::to_string))
@@ -444,6 +410,21 @@ fn unopenable_substrate_is_refused_before_any_cell_runs() {
         "cells ran: {}",
         String::from_utf8_lossy(&out.stdout)
     );
+}
+
+/// `--smoke` shrinks the sizes a golden records, so asking it to gate
+/// against one is a usage error (exit 2) before any cell runs.
+#[test]
+fn smoke_refuses_a_baseline() {
+    let out = run_binary(
+        "smoke_baseline",
+        SMALL_CONFIG,
+        &["--smoke", "--baseline", "results/bench_matrix.json"],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("usage: papi_bench_matrix"), "{stderr}");
+    assert!(out.stdout.is_empty());
 }
 
 /// Under `--json`, stdout is the report document and nothing else.

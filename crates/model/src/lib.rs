@@ -16,7 +16,9 @@
 //!   from `PAPI_TOT_CYC` and the operation counters;
 //! * [`measure_app`] counts an application's operation mix (instructions,
 //!   FP, loads/stores, cache misses, branches, mispredictions) — one
-//!   deterministic counting run per preset, like the calibrate utility;
+//!   deterministic counting run per preset, through the validator's direct
+//!   mode (`papi_tools::validate::measure_direct`), as the calibrate
+//!   utility counts;
 //! * [`predict_cycles`] convolves the two;
 //! * [`validate`] scores predictions against actual simulated cycles.
 //!
@@ -24,9 +26,10 @@
 //! misses contributes no L2 term — and correspondingly worse predictions,
 //! which is itself a finding about counter coverage.
 
-use papi_core::{Papi, Preset, SimSubstrate};
+use papi_core::{BoxSubstrate, Preset, SimSubstrate, SubstrateRegistry};
+use papi_tools::validate::measure_direct;
 use papi_workloads::Workload;
-use simcpu::{Machine, PlatformSpec, Program};
+use simcpu::PlatformSpec;
 
 /// Per-operation cycle costs measured on one platform.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,36 +81,38 @@ pub struct AppSignature {
     pub actual_cycles: i64,
 }
 
-fn count_one(spec: &PlatformSpec, program: &Program, seed: u64, preset: Preset) -> Option<i64> {
-    let mut m = Machine::new(spec.clone(), seed);
-    m.load(program.clone());
-    let mut papi = Papi::init(SimSubstrate::new(m)).ok()?;
-    if !papi.query_event(preset.code()) {
-        return None;
-    }
-    let set = papi.create_eventset();
-    papi.add_event(set, preset.code()).ok()?;
-    papi.start(set).ok()?;
-    papi.run_app().ok()?;
-    papi.stop(set).ok().map(|v| v[0])
+/// A registry holding `spec` alone, under its own name, for the
+/// validator's direct mode to open sessions on.
+fn registry_of(spec: &PlatformSpec) -> SubstrateRegistry {
+    let mut reg = SubstrateRegistry::new();
+    let model = spec.clone();
+    reg.register(
+        spec.name,
+        spec.model,
+        Box::new(move |seed| {
+            Ok(Box::new(SimSubstrate::for_platform(model.clone(), seed)) as BoxSubstrate)
+        }),
+    );
+    reg
 }
 
 /// Count the application signature on `spec` (one deterministic run per
 /// preset, so no multiplexing estimates pollute the model input).
 pub fn measure_app(spec: &PlatformSpec, w: &Workload, seed: u64) -> AppSignature {
-    let p = &w.program;
+    let reg = registry_of(spec);
+    let count = |preset| measure_direct(&reg, spec.name, w, preset, seed);
     AppSignature {
         workload: w.name.to_string(),
-        tot_ins: count_one(spec, p, seed, Preset::TotIns),
-        fp_ins: count_one(spec, p, seed, Preset::FpIns),
-        loads: count_one(spec, p, seed, Preset::LdIns),
-        stores: count_one(spec, p, seed, Preset::SrIns),
-        l1_dcm: count_one(spec, p, seed, Preset::L1Dcm),
-        l2_tcm: count_one(spec, p, seed, Preset::L2Tcm),
-        tlb_dm: count_one(spec, p, seed, Preset::TlbDm),
-        br_ins: count_one(spec, p, seed, Preset::BrIns),
-        br_msp: count_one(spec, p, seed, Preset::BrMsp),
-        actual_cycles: count_one(spec, p, seed, Preset::TotCyc).unwrap_or(0),
+        tot_ins: count(Preset::TotIns),
+        fp_ins: count(Preset::FpIns),
+        loads: count(Preset::LdIns),
+        stores: count(Preset::SrIns),
+        l1_dcm: count(Preset::L1Dcm),
+        l2_tcm: count(Preset::L2Tcm),
+        tlb_dm: count(Preset::TlbDm),
+        br_ins: count(Preset::BrIns),
+        br_msp: count(Preset::BrMsp),
+        actual_cycles: count(Preset::TotCyc).unwrap_or(0),
     }
 }
 

@@ -1,46 +1,52 @@
 //! `papi_calibrate` — run the calibration suite and print expected vs
-//! measured counts (the utility behind the paper's §4 accuracy runs).
+//! measured counts (the utility behind the paper's §4 accuracy runs):
+//! `papi_validate`'s direct mode over the calibration suite.
 //!
 //! ```text
-//! papi_calibrate [--platform NAME] [--platform-file PATH] [--seed N]
+//! papi_calibrate [--platform NAME]... [--platform-file PATH]... [--seed N]
 //! ```
+//!
+//! Names resolve through the substrate registry, as `papi_validate`'s
+//! `--substrate` does; `--platform-file` registers the file first. With no
+//! platform flag the eight built-in simulated platforms are calibrated.
 
-use papi_tools::calibrate::{calibrate_all_parallel, render_report};
-use papi_workloads::calibration_suite;
-use simcpu::all_platforms;
+use papi_tools::calibrate::{default_platforms, render_report, run_calibration};
+use std::sync::Arc;
+
+fn usage() -> ! {
+    eprintln!("usage: papi_calibrate [--platform NAME]... [--platform-file PATH]... [--seed N]");
+    std::process::exit(2);
+}
+
+fn fail(e: papi_core::PapiError) -> ! {
+    eprintln!("papi_calibrate: {e}");
+    std::process::exit(2);
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut platforms = all_platforms();
+    let mut reg = papi_tools::full_registry();
+    let mut names = Vec::new();
     let mut seed = 7u64;
-    let mut it = args.into_iter();
+    let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
+        let mut next = || it.next().unwrap_or_else(|| usage());
         match a.as_str() {
-            "--platform" | "--platform-file" => {
-                let arg = it.next().unwrap_or_default();
-                let name = if a == "--platform-file" {
-                    format!("file:{arg}")
-                } else {
-                    arg
-                };
-                match papi_tools::resolve_platform(&name) {
-                    Ok(p) => platforms = vec![p],
-                    Err(e) => {
-                        eprintln!("papi_calibrate: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--seed" => seed = it.next().and_then(|s| s.parse().ok()).unwrap_or(7),
-            _ => {
-                eprintln!(
-                    "usage: papi_calibrate [--platform NAME | --platform-file PATH] [--seed N]"
+            "--platform" => names.push(next()),
+            "--platform-file" => {
+                let path = next();
+                names.push(
+                    reg.register_platform_file(std::path::Path::new(&path))
+                        .unwrap_or_else(|e| fail(e)),
                 );
-                std::process::exit(2);
             }
+            "--seed" => seed = next().parse().unwrap_or_else(|_| usage()),
+            _ => usage(),
         }
     }
-    let rows = calibrate_all_parallel(&platforms, &calibration_suite(), seed);
+    if names.is_empty() {
+        names = default_platforms(&reg);
+    }
+    let rows = run_calibration(&Arc::new(reg), &names, seed).unwrap_or_else(|e| fail(e));
     print!("{}", render_report(&rows));
     let bad = rows
         .iter()

@@ -3,14 +3,14 @@
 //!
 //! ```text
 //! papi_validate [--json] [--baseline PATH] [--substrate NAME]...
-//!               [--platform-file PATH]... [--platform-dir DIR]
-//!               [--seed N] [--mpx-period CYCLES] [--mpx-tolerance F]
-//!               [--mpx-floor F] [--threads N]
+//!               [--platform-file PATH]... [--platform-dir DIR] [--seed N]
 //! ```
 //!
 //! With no `--substrate` flags the matrix covers every registered backend
 //! (built-in simulated platforms, perfctr, any `--platform-dir`/`--platform-file`
 //! data-file models) plus one fault-decorated substrate per fault family.
+//! The mpx mode's switching period and grading band and the thread mode's
+//! worker count are constants of `papi_tools::validate`.
 //!
 //! `--json` prints the line-per-cell matrix document instead of the text
 //! report. `--baseline PATH` additionally diffs the fresh matrix against a
@@ -29,8 +29,7 @@ use std::sync::Arc;
 fn usage() -> ! {
     eprintln!(
         "usage: papi_validate [--json] [--baseline PATH] [--substrate NAME]... \
-         [--platform-file PATH]... [--platform-dir DIR] [--seed N] \
-         [--mpx-period CYCLES] [--mpx-tolerance F] [--mpx-floor F] [--threads N]"
+         [--platform-file PATH]... [--platform-dir DIR] [--seed N]"
     );
     std::process::exit(2);
 }
@@ -42,10 +41,6 @@ fn main() {
     let mut baseline: Option<String> = None;
     let mut substrates: Vec<String> = Vec::new();
     let mut seed = 7u64;
-    let mut mpx_period: Option<u64> = None;
-    let mut mpx_tolerance: Option<f64> = None;
-    let mut mpx_floor: Option<f64> = None;
-    let mut threads: Option<usize> = None;
 
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -69,10 +64,6 @@ fn main() {
                 }
             }
             "--seed" => seed = next().parse().unwrap_or_else(|_| usage()),
-            "--mpx-period" => mpx_period = Some(next().parse().unwrap_or_else(|_| usage())),
-            "--mpx-tolerance" => mpx_tolerance = Some(next().parse().unwrap_or_else(|_| usage())),
-            "--mpx-floor" => mpx_floor = Some(next().parse().unwrap_or_else(|_| usage())),
-            "--threads" => threads = Some(next().parse().unwrap_or_else(|_| usage())),
             _ => usage(),
         }
     }
@@ -87,20 +78,7 @@ fn main() {
         substrates = default_substrates(&reg);
     }
 
-    let mut cfg = ValidateConfig::new(substrates);
-    cfg.seed = seed;
-    if let Some(p) = mpx_period {
-        cfg.mpx_period = p;
-    }
-    if let Some(t) = mpx_tolerance {
-        cfg.mpx_tolerance = t;
-    }
-    if let Some(f) = mpx_floor {
-        cfg.mpx_floor = f;
-    }
-    if let Some(t) = threads {
-        cfg.threads = t;
-    }
+    let cfg = ValidateConfig { substrates, seed };
 
     // Refuse a bad baseline before running any cell.
     let baseline = baseline.map(|path| {

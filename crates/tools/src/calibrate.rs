@@ -7,12 +7,18 @@
 //! differences surface — e.g. the POWER3-style FP-instruction event that
 //! also counts converts, which this tool reports as a discrepancy together
 //! with the library's own `inexact` mapping flag.
+//!
+//! Calibration is a view over the validator's direct mode
+//! ([`crate::validate`]): [`run_calibration`] counts each preset through
+//! the same routine and takes each row's grade from its cell, so the two
+//! tools cannot count or score the same measurement differently.
 
-use papi_core::{Papi, Preset, SimSubstrate};
+use crate::validate::{run_mode, Mode};
+use papi_core::{Preset, PresetTable, Provenance, SubstrateRegistry};
 use papi_workloads::grading::{self, Grade};
-use papi_workloads::Workload;
-use simcpu::{Machine, PlatformSpec};
+use papi_workloads::{calibration_suite, Workload};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// One calibration measurement.
 #[derive(Debug, Clone)]
@@ -24,6 +30,8 @@ pub struct CalRow {
     pub measured: i64,
     /// The library flagged the mapping as semantically inexact.
     pub inexact_mapping: bool,
+    /// The direct cell's grade (tolerance 0, floor 0).
+    grade: Grade,
 }
 
 impl CalRow {
@@ -33,12 +41,10 @@ impl CalRow {
         grading::rel_error(self.expected, self.measured)
     }
 
-    /// The row's accuracy grade at zero tolerance: calibration is the
-    /// strict consumer of the shared grading module (`papi_validate` is
-    /// the tolerant one), so the two tools cannot score the same
-    /// measurement differently.
+    /// The row's accuracy grade at zero tolerance: the grade of the
+    /// validator's direct cell the row was read from.
     pub fn grade(&self) -> Grade {
-        grading::grade(self.expected, self.measured, 0.0)
+        self.grade
     }
 
     /// A measurement "passes" calibration when it matches exactly.
@@ -71,85 +77,47 @@ pub fn expected_preset_value(w: &Workload, preset: Preset) -> Option<i64> {
     Some(total)
 }
 
-/// Calibrate one workload on one platform: measure each covered calibration
-/// preset (one at a time, so allocation never interferes) and compare.
-pub fn calibrate_workload(spec: &PlatformSpec, w: &Workload, seed: u64) -> Vec<CalRow> {
-    let mut rows = Vec::new();
-    for &preset in CALIBRATION_PRESETS {
-        let Some(expected) = expected_preset_value(w, preset) else {
-            continue;
-        };
-        let mut machine = Machine::new(spec.clone(), seed);
-        machine.load(w.program.clone());
-        let mut papi = match Papi::init(SimSubstrate::new(machine)) {
-            Ok(p) => p,
-            Err(_) => continue,
-        };
-        if !papi.query_event(preset.code()) {
-            continue; // preset unavailable on this platform
-        }
-        let inexact = papi
-            .preset_table()
-            .mapping(preset.code())
-            .map(|m| m.inexact)
-            .unwrap_or(false);
-        let set = papi.create_eventset();
-        if papi.add_event(set, preset.code()).is_err() || papi.start(set).is_err() {
-            continue;
-        }
-        if papi.run_app().is_err() {
-            continue;
-        }
-        let Ok(v) = papi.stop(set) else { continue };
-        rows.push(CalRow {
-            platform: spec.name,
-            workload: w.name,
-            preset,
-            expected,
-            measured: v[0],
-            inexact_mapping: inexact,
-        });
-    }
-    rows
+/// The platforms calibrated by default: the registry's built-in simulated
+/// platforms, in registration ([`simcpu::all_platforms`]) order.
+pub fn default_platforms(reg: &SubstrateRegistry) -> Vec<String> {
+    reg.names()
+        .into_iter()
+        .filter(|name| matches!(reg.provenance(name), Ok(Provenance::BuiltinData)))
+        .map(str::to_string)
+        .collect()
 }
 
-/// Calibrate a suite of workloads across a set of platforms.
-pub fn calibrate_all(specs: &[PlatformSpec], suite: &[Workload], seed: u64) -> Vec<CalRow> {
-    let mut rows = Vec::new();
-    for spec in specs {
-        for w in suite {
-            rows.extend(calibrate_workload(spec, w, seed));
-        }
-    }
-    rows
-}
-
-/// [`calibrate_all`] with one OS thread per platform (each platform's
-/// simulations are independent and deterministic, so the result is
-/// identical to the sequential run, in the same order).
-pub fn calibrate_all_parallel(
-    specs: &[PlatformSpec],
-    suite: &[Workload],
+/// Calibrate the substrates `reg` registers as `names`: the validator's
+/// direct mode over [`calibration_suite`] × [`CALIBRATION_PRESETS`], one
+/// row per supported cell, in `names` order. A row's platform is its
+/// substrate's platform-model name (`sim-x86`); a name with no platform
+/// model (unknown, or a code backend such as perfctr) is an error.
+pub fn run_calibration(
+    reg: &Arc<SubstrateRegistry>,
+    names: &[String],
     seed: u64,
-) -> Vec<CalRow> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = specs
-            .iter()
-            .map(|spec| {
-                scope.spawn(move || {
-                    let mut rows = Vec::new();
-                    for w in suite {
-                        rows.extend(calibrate_workload(spec, w, seed));
-                    }
-                    rows
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("calibration thread"))
-            .collect()
-    })
+) -> papi_core::Result<Vec<CalRow>> {
+    let suite = calibration_suite();
+    let mut rows = Vec::new();
+    for name in names {
+        let spec = reg.platform_spec(name)?;
+        let table = PresetTable::build(&spec.events, spec.num_counters, &spec.groups);
+        for cell in run_mode(reg, name, Mode::Direct, &suite, CALIBRATION_PRESETS, seed) {
+            let Some(measured) = cell.measured else {
+                continue; // preset unavailable on this platform
+            };
+            rows.push(CalRow {
+                platform: spec.name,
+                workload: cell.workload,
+                preset: cell.preset,
+                expected: cell.expected,
+                measured,
+                inexact_mapping: table.mapping(cell.preset.code()).is_some_and(|m| m.inexact),
+                grade: cell.grade,
+            });
+        }
+    }
+    Ok(rows)
 }
 
 /// Render calibration rows as the table the utility prints.
@@ -188,40 +156,51 @@ pub fn render_report(rows: &[CalRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use papi_workloads::{convert_mix, dense_fp, matmul};
-    use simcpu::platform::{sim_generic, sim_power3, sim_x86};
+
+    fn calibrate_one(name: &str) -> Vec<CalRow> {
+        let reg = Arc::new(crate::full_registry());
+        run_calibration(&reg, &[name.to_string()], 1).unwrap()
+    }
 
     #[test]
     fn generic_platform_calibrates_exactly() {
-        let rows = calibrate_workload(&sim_generic(), &dense_fp(2000, 3, 1), 1);
-        assert!(rows.len() >= 5);
+        let rows = calibrate_one("sim:generic");
+        assert!(rows.len() >= 25);
         for r in &rows {
+            assert_eq!(r.platform, "sim-generic");
             assert!(
                 r.pass(),
-                "{:?} measured {} expected {}",
+                "{}/{:?} measured {} expected {}",
+                r.workload,
                 r.preset,
                 r.measured,
                 r.expected
             );
         }
+        let rep = render_report(&rows);
+        assert!(rep.contains("PAPI_FP_OPS"));
+        assert!(rep.contains("ok"));
     }
 
     #[test]
     fn matmul_calibrates_on_x86() {
-        let rows = calibrate_workload(&sim_x86(), &matmul(10), 1);
-        let fp = rows.iter().find(|r| r.preset == Preset::FpOps).unwrap();
-        assert_eq!(fp.measured, 2000); // 2 * 10^3
-        assert!(fp.pass());
-        let ld = rows.iter().find(|r| r.preset == Preset::LdIns).unwrap();
-        assert!(ld.pass());
+        let rows = calibrate_one("sim:x86");
+        let row = |preset| {
+            rows.iter()
+                .find(|r| r.workload == "matmul" && r.preset == preset)
+                .unwrap()
+        };
+        assert_eq!(row(Preset::FpOps).measured, 2 * 24 * 24 * 24);
+        assert!(row(Preset::FpOps).pass());
+        assert!(row(Preset::LdIns).pass());
     }
 
     #[test]
     fn power3_quirk_detected_as_flagged_mismatch() {
-        let rows = calibrate_workload(&sim_power3(), &convert_mix(1000, 2, 1), 1);
+        let rows = calibrate_one("sim:power3");
         let fp = rows
             .iter()
-            .find(|r| r.preset == Preset::FpIns)
+            .find(|r| r.workload == "convert_mix" && r.preset == Preset::FpIns)
             .expect("FP_INS row");
         assert!(
             !fp.pass(),
@@ -231,22 +210,22 @@ mod tests {
             fp.inexact_mapping,
             "and the library must have flagged the mapping"
         );
-        assert_eq!(fp.measured - fp.expected, 1000); // exactly the converts
+        assert_eq!(fp.measured - fp.expected, 5000); // exactly the converts
     }
 
     #[test]
-    fn parallel_calibration_matches_sequential() {
-        let specs = simcpu::all_platforms();
-        let suite = vec![dense_fp(500, 2, 1), matmul(6)];
-        let seq = calibrate_all(&specs, &suite, 3);
-        let par = calibrate_all_parallel(&specs, &suite, 3);
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(
-                (a.platform, a.workload, a.preset, a.expected, a.measured),
-                (b.platform, b.workload, b.preset, b.expected, b.measured)
-            );
-        }
+    fn default_platforms_are_the_builtin_simulators() {
+        let reg = crate::full_registry();
+        let names = default_platforms(&reg);
+        let specs: Vec<&str> = names
+            .iter()
+            .map(|n| reg.platform_spec(n).unwrap().name)
+            .collect();
+        let builtin: Vec<&str> = simcpu::all_platforms().iter().map(|s| s.name).collect();
+        assert_eq!(specs, builtin);
+        // A code backend has no platform model to name its rows by.
+        let reg = Arc::new(reg);
+        assert!(run_calibration(&reg, &["perfctr".to_string()], 1).is_err());
     }
 
     #[test]
@@ -255,13 +234,5 @@ mod tests {
         // chase oracle has no FP coverage
         assert_eq!(expected_preset_value(&w, Preset::FpOps), None);
         assert_eq!(expected_preset_value(&w, Preset::LdIns), Some(100));
-    }
-
-    #[test]
-    fn report_renders_rows() {
-        let rows = calibrate_workload(&sim_generic(), &dense_fp(100, 1, 1), 1);
-        let rep = render_report(&rows);
-        assert!(rep.contains("PAPI_FP_OPS"));
-        assert!(rep.contains("ok"));
     }
 }

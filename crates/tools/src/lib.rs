@@ -13,7 +13,8 @@
 //! * [`papirun`] — run a program and collect basic timing + counter data,
 //!   falling back to explicit multiplexing when events conflict.
 //! * [`calibrate`] — compare measured counts against analytic expectations,
-//!   surfacing per-platform event-semantics differences.
+//!   surfacing per-platform event-semantics differences: a view over the
+//!   validator's direct mode.
 //! * [`validate`] — the ground-truth validation harness: grade every
 //!   (substrate, mode, workload, preset) cell against closed-form oracles
 //!   and diff the matrix against a golden baseline.
@@ -29,9 +30,7 @@ pub mod tracer;
 pub mod validate;
 
 pub use avail::{render_avail, render_avail_matrix};
-pub use calibrate::{
-    calibrate_all, calibrate_all_parallel, calibrate_workload, render_report, CalRow,
-};
+pub use calibrate::{default_platforms, render_report, run_calibration, CalRow};
 pub use dynaprof::{Dynaprof, DynaprofReport, FuncProfile, ProbeMetric};
 pub use papirun::papirun as run_papirun;
 pub use papirun::{papirun_in, papirun_named, papirun_with, RunOptions, RunReport};

@@ -26,17 +26,20 @@
 //!
 //! Modes:
 //!
-//! * **direct** — one preset per session, hardware counting, tolerance 0:
-//!   a conforming substrate must be bit-exact.
-//! * **mpx** — all presets in one software-multiplexed set; counts are
-//!   scheduling estimates, graded against [`ValidateConfig::mpx_tolerance`]
+//! * **direct** — one preset per session ([`measure_direct`]), hardware
+//!   counting, tolerance 0: a conforming substrate must be bit-exact.
+//!   `papi_calibrate` ([`crate::calibrate`]) is this mode over the
+//!   calibration suite, and papi-model's probes count through it too.
+//! * **mpx** — all presets in one software-multiplexed set switching every
+//!   [`DEFAULT_MPX_PERIOD`] cycles; counts are scheduling estimates, graded
+//!   against [`DEFAULT_MPX_TOLERANCE`] above a [`DEFAULT_MPX_FLOOR`]
 //!   (estimation error is expected; *bias* beyond the band is not).
-//! * **thread** — per-preset sessions inside registered
+//! * **thread** — the direct mode's per-preset count inside two registered
 //!   [`ThreadedPapi`] threads, tolerance 0: thread-private counting must
 //!   agree with the single-threaded truth exactly.
 
 use crate::calibrate::expected_preset_value;
-use papi_core::{Papi, Preset, Substrate, SubstrateRegistry, ThreadedPapi};
+use papi_core::{BoxSubstrate, Papi, Preset, Substrate, SubstrateRegistry, ThreadedPapi};
 use papi_obs::json::{self, BaselineError, BaselineRow, Diff, Layout, ToJson, Value, Verdict};
 use papi_workloads::grading::{self, Grade};
 use papi_workloads::{validation_suite, Workload};
@@ -63,24 +66,27 @@ pub const VALIDATION_PRESETS: &[Preset] = &[
     Preset::BrNtk,
 ];
 
-/// Default relative tolerance for multiplexed estimates.
+/// Relative tolerance of the mpx mode's grading band.
 pub const DEFAULT_MPX_TOLERANCE: f64 = 0.25;
 
-/// Default multiplex switching period (cycles): much shorter than the
-/// library default (100k cycles) so every validation workload (~17k-50k
-/// instructions) still yields several slices per partition of the
-/// 12-preset rotated set, but long enough that each slice accumulates a
-/// statistically useful count. A period sweep over the full matrix puts
+/// Multiplex switching period (cycles) of the mpx mode: much shorter than
+/// the library default (100k cycles) so every validation workload
+/// (~17k-50k instructions) still yields several slices per partition of
+/// the 12-preset rotated set, but long enough that each slice accumulates
+/// a statistically useful count. A period sweep over the full matrix puts
 /// the deviating-cell minimum at 5k cycles: below ~4k the 2-counter
 /// platforms leave partitions with sub-slice coverage (estimates swing
 /// 0x-3x of truth), above ~8k short workloads stop covering every
 /// partition before halt.
 pub const DEFAULT_MPX_PERIOD: u64 = 5_000;
 
-/// Default absolute error floor (counts) for multiplexed estimates — see
+/// Absolute error floor (counts) of the mpx mode's grading band — see
 /// [`grading::grade_with_floor`]. Sized to the per-slice count a
 /// validation workload accumulates within one switching period.
 pub const DEFAULT_MPX_FLOOR: f64 = 512.0;
+
+/// Registered worker threads of the thread mode.
+const THREAD_WORKERS: usize = 2;
 
 /// How a cell was measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,12 +111,12 @@ impl Mode {
         }
     }
 
-    /// The grading band of this mode under `cfg`: `(relative tolerance,
-    /// absolute floor)`. Direct and threaded counting must be bit-exact;
-    /// multiplexed estimates get the configured band.
-    fn band(&self, cfg: &ValidateConfig) -> (f64, f64) {
+    /// The grading band of this mode: `(relative tolerance, absolute
+    /// floor)`. Direct and threaded counting must be bit-exact; multiplexed
+    /// estimates get the mpx band.
+    fn band(&self) -> (f64, f64) {
         match self {
-            Mode::Mpx => (cfg.mpx_tolerance, cfg.mpx_floor),
+            Mode::Mpx => (DEFAULT_MPX_TOLERANCE, DEFAULT_MPX_FLOOR),
             _ => (0.0, 0.0),
         }
     }
@@ -154,12 +160,6 @@ pub struct ValidateConfig {
     /// fault-decorated or `file:` names).
     pub substrates: Vec<String>,
     pub seed: u64,
-    pub mpx_tolerance: f64,
-    pub mpx_period: u64,
-    /// Absolute error floor (counts) for multiplexed grading.
-    pub mpx_floor: f64,
-    /// Worker threads for the `thread` mode.
-    pub threads: usize,
 }
 
 impl ValidateConfig {
@@ -167,10 +167,6 @@ impl ValidateConfig {
         ValidateConfig {
             substrates,
             seed: 7,
-            mpx_tolerance: DEFAULT_MPX_TOLERANCE,
-            mpx_period: DEFAULT_MPX_PERIOD,
-            mpx_floor: DEFAULT_MPX_FLOOR,
-            threads: 2,
         }
     }
 }
@@ -207,9 +203,34 @@ fn preset_derivation(w: &Workload, preset: Preset) -> String {
     out
 }
 
-/// Measure one preset in its own dedicated session. `None` = unsupported
-/// (substrate refused construction, the event, or the counting run).
-fn measure_direct(
+/// Count `preset` over one run of `w` in a fresh event set of `papi`: the
+/// one known-answer count behind every direct and threaded cell. `None` =
+/// unsupported (the event or the counting run was refused).
+fn count(papi: &mut Papi<BoxSubstrate>, w: &Workload, preset: Preset) -> Option<i64> {
+    if !papi.query_event(preset.code()) {
+        return None;
+    }
+    let set = papi.create_eventset();
+    let counted = (|| {
+        papi.add_event(set, preset.code()).ok()?;
+        // Load only once the measurement is definitely proceeding: every
+        // `load_program` spawns a fresh simulated thread, so an early-exit
+        // path that loaded eagerly would leave a pending execution behind.
+        papi.substrate_mut().load_program(w.program.clone()).ok()?;
+        papi.start(set).ok()?;
+        papi.run_app().ok()?;
+        papi.stop(set).ok().map(|v| v[0])
+    })();
+    // A thread's session counts its next preset in a set of its own.
+    let _ = papi.destroy_eventset(set);
+    counted
+}
+
+/// Count `preset` over one run of `w` in a session of its own on the
+/// substrate `reg` registers as `name`, seeded `seed`: one direct-mode
+/// cell. `None` = unsupported (the substrate, the event or the counting
+/// run was refused).
+pub fn measure_direct(
     reg: &SubstrateRegistry,
     name: &str,
     w: &Workload,
@@ -217,46 +238,35 @@ fn measure_direct(
     seed: u64,
 ) -> Option<i64> {
     let mut papi = Papi::init_from_registry(reg, name, seed).ok()?;
-    if !papi.query_event(preset.code()) {
-        return None;
-    }
-    let set = papi.create_eventset();
-    papi.add_event(set, preset.code()).ok()?;
-    // Load only once the measurement is definitely proceeding: every
-    // `load_program` spawns a fresh simulated thread, so an early-exit
-    // path that loaded eagerly would leave a pending execution behind.
-    papi.substrate_mut().load_program(w.program.clone()).ok()?;
-    papi.start(set).ok()?;
-    papi.run_app().ok()?;
-    papi.stop(set).ok().map(|v| v[0])
+    count(&mut papi, w, preset)
 }
 
-/// Measure every validation preset in one multiplexed set. Presets the
-/// substrate rejects come back `None`; a failed run marks all `None`.
+/// Count `presets` together in one multiplexed set: one value per preset,
+/// in order, `None` where the substrate rejects the preset and everywhere
+/// when the run fails.
 fn measure_mpx(
     reg: &SubstrateRegistry,
     name: &str,
     w: &Workload,
+    presets: &[Preset],
     seed: u64,
-    period: u64,
-) -> Vec<(Preset, Option<i64>)> {
-    let unsupported = || VALIDATION_PRESETS.iter().map(|&p| (p, None)).collect();
+) -> Vec<Option<i64>> {
+    let mut out = vec![None; presets.len()];
     let Ok(mut papi) = Papi::init_from_registry(reg, name, seed) else {
-        return unsupported();
+        return out;
     };
     let set = papi.create_eventset();
-    if papi.set_multiplex(set).is_err() || papi.set_multiplex_period(set, period).is_err() {
-        return unsupported();
+    if papi.set_multiplex(set).is_err()
+        || papi.set_multiplex_period(set, DEFAULT_MPX_PERIOD).is_err()
+    {
+        return out;
     }
-    // Track which presets made it into the set; `stop` values follow the
-    // set's event order, i.e. the order of successful adds.
+    // `stop` values follow the set's event order, i.e. the order of the
+    // adds that succeeded.
     let mut added = Vec::new();
-    let mut out: Vec<(Preset, Option<i64>)> = Vec::new();
-    for &preset in VALIDATION_PRESETS {
+    for (i, &preset) in presets.iter().enumerate() {
         if papi.query_event(preset.code()) && papi.add_event(set, preset.code()).is_ok() {
-            added.push(preset);
-        } else {
-            out.push((preset, None));
+            added.push(i);
         }
     }
     if added.is_empty()
@@ -267,37 +277,28 @@ fn measure_mpx(
         || papi.start(set).is_err()
         || papi.run_app().is_err()
     {
-        return unsupported();
+        return out;
     }
-    match papi.stop(set) {
-        Ok(values) => {
-            for (i, &preset) in added.iter().enumerate() {
-                out.push((preset, Some(values[i])));
-            }
-        }
-        Err(_) => {
-            for &preset in &added {
-                out.push((preset, None));
-            }
+    if let Ok(values) = papi.stop(set) {
+        for (&i, v) in added.iter().zip(values) {
+            out[i] = Some(v);
         }
     }
     out
 }
 
-/// Measure every validation preset inside registered threads: presets are
-/// split round-robin over `threads` workers, each owning a thread-private
-/// session (seeded `seed + worker`, so fault schedules stay deterministic
-/// regardless of interleaving). Within a worker the program is reloaded
-/// and re-run per preset, mirroring the direct mode's one-preset-per-run
-/// discipline.
+/// Count `presets` inside registered threads, one value per preset in
+/// order: presets are split round-robin over the [`THREAD_WORKERS`] workers,
+/// each owning a thread-private session (seeded `seed + worker`, so fault
+/// schedules stay deterministic regardless of interleaving) in which it
+/// counts its presets one run each, as the direct mode does.
 fn measure_threaded(
     reg: &Arc<SubstrateRegistry>,
     name: &str,
     w: &Workload,
+    presets: &[Preset],
     seed: u64,
-    threads: usize,
-) -> Vec<(Preset, Option<i64>)> {
-    let threads = threads.max(1);
+) -> Vec<Option<i64>> {
     let name_owned = name.to_string();
     let table = {
         let reg = Arc::clone(reg);
@@ -305,56 +306,76 @@ fn measure_threaded(
             Papi::init_from_registry(&reg, &name_owned, s)
         }))
     };
+    let mut out = vec![None; presets.len()];
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
+        let handles: Vec<_> = (0..THREAD_WORKERS)
             .map(|worker| {
-                let table = Arc::clone(&table);
+                let table = &table;
                 scope.spawn(move || {
-                    let mut mine = Vec::new();
-                    let token = match table.register_thread_seeded(seed + worker as u64) {
-                        Ok(t) => t,
-                        Err(_) => {
-                            for (i, &preset) in VALIDATION_PRESETS.iter().enumerate() {
-                                if i % threads == worker {
-                                    mine.push((preset, None));
-                                }
-                            }
-                            return mine;
-                        }
+                    let Ok(token) = table.register_thread_seeded(seed + worker as u64) else {
+                        return Vec::new();
                     };
-                    for (i, &preset) in VALIDATION_PRESETS.iter().enumerate() {
-                        if i % threads != worker {
-                            continue;
-                        }
-                        let measured = token.with(|papi| -> Option<i64> {
-                            if !papi.query_event(preset.code()) {
-                                return None;
-                            }
-                            let set = papi.create_eventset();
-                            let r = (|| {
-                                papi.add_event(set, preset.code()).ok()?;
-                                // Load last: each load spawns one program
-                                // execution, so it must be paired 1:1 with
-                                // the run_app below (see measure_direct).
-                                papi.substrate_mut().load_program(w.program.clone()).ok()?;
-                                papi.start(set).ok()?;
-                                papi.run_app().ok()?;
-                                papi.stop(set).ok().map(|v| v[0])
-                            })();
-                            let _ = papi.destroy_eventset(set);
-                            r
-                        });
-                        mine.push((preset, measured));
-                    }
-                    mine
+                    (worker..presets.len())
+                        .step_by(THREAD_WORKERS)
+                        .map(|i| (i, token.with(|papi| count(papi, w, presets[i]))))
+                        .collect()
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("validation worker"))
-            .collect()
-    })
+        for h in handles {
+            for (i, counted) in h.join().expect("validation worker") {
+                out[i] = counted;
+            }
+        }
+    });
+    out
+}
+
+/// One (substrate, mode) block of the matrix over `suite` × `presets`: a
+/// cell for every preset whose formula the workload's oracle covers,
+/// graded under the mode's band, workload-major. `papi_calibrate` is the
+/// direct block over the calibration suite.
+pub(crate) fn run_mode(
+    reg: &Arc<SubstrateRegistry>,
+    name: &str,
+    mode: Mode,
+    suite: &[Workload],
+    presets: &[Preset],
+    seed: u64,
+) -> Vec<Cell> {
+    let (tol, floor) = mode.band();
+    let mut cells = Vec::new();
+    for w in suite {
+        let (covered, expected): (Vec<Preset>, Vec<i64>) = presets
+            .iter()
+            .filter_map(|&p| Some((p, expected_preset_value(w, p)?)))
+            .unzip();
+        let measured = match mode {
+            Mode::Direct => covered
+                .iter()
+                .map(|&p| measure_direct(reg, name, w, p, seed))
+                .collect(),
+            Mode::Mpx => measure_mpx(reg, name, w, &covered, seed),
+            Mode::Thread => measure_threaded(reg, name, w, &covered, seed),
+        };
+        for ((preset, expected), measured) in covered.into_iter().zip(expected).zip(measured) {
+            let grade = match measured {
+                Some(v) => grading::grade_with_floor(expected, v, tol, floor),
+                None => Grade::Unsupported,
+            };
+            cells.push(Cell {
+                substrate: name.to_string(),
+                mode,
+                workload: w.name,
+                preset,
+                expected,
+                measured,
+                grade,
+                derivation: preset_derivation(w, preset),
+            });
+        }
+    }
+    cells
 }
 
 /// Run the full accuracy matrix for `cfg` against `reg`.
@@ -368,40 +389,8 @@ pub fn run_matrix(reg: &Arc<SubstrateRegistry>, cfg: &ValidateConfig) -> Vec<Cel
     let mut cells = Vec::new();
     for name in &cfg.substrates {
         for &mode in Mode::ALL {
-            for w in &suite {
-                let measured: Vec<(Preset, Option<i64>)> = match mode {
-                    Mode::Direct => VALIDATION_PRESETS
-                        .iter()
-                        .map(|&p| (p, measure_direct(reg, name, w, p, cfg.seed)))
-                        .collect(),
-                    Mode::Mpx => measure_mpx(reg, name, w, cfg.seed, cfg.mpx_period),
-                    Mode::Thread => measure_threaded(reg, name, w, cfg.seed, cfg.threads),
-                };
-                for &preset in VALIDATION_PRESETS {
-                    let Some(expected) = expected_preset_value(w, preset) else {
-                        continue; // suite oracles are complete; defensive
-                    };
-                    let m = measured
-                        .iter()
-                        .find(|(p, _)| *p == preset)
-                        .and_then(|&(_, m)| m);
-                    let (tol, floor) = mode.band(cfg);
-                    let grade = match m {
-                        Some(v) => grading::grade_with_floor(expected, v, tol, floor),
-                        None => Grade::Unsupported,
-                    };
-                    cells.push(Cell {
-                        substrate: name.clone(),
-                        mode,
-                        workload: w.name,
-                        preset,
-                        expected,
-                        measured: m,
-                        grade,
-                        derivation: preset_derivation(w, preset),
-                    });
-                }
-            }
+            let block = run_mode(reg, name, mode, &suite, VALIDATION_PRESETS, cfg.seed);
+            cells.extend(block);
         }
     }
     cells

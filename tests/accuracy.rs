@@ -1,53 +1,18 @@
 //! Accuracy integration tests: the §4 claims, end to end.
 
 use papi_suite::papi::{sampling, Papi, Preset, ProfilConfig, SimSubstrate};
-use papi_suite::tools::{calibrate_workload, Dynaprof, ProbeMetric};
-use papi_suite::workloads::{calibration_suite, dense_fp, tight_calls};
+use papi_suite::tools::{
+    default_platforms, full_registry, run_calibration, CalRow, Dynaprof, ProbeMetric,
+};
+use papi_suite::workloads::{dense_fp, tight_calls};
 use simcpu::platform::{sim_alpha, sim_generic, sim_ia64, sim_x86};
 use simcpu::{EventKind, Machine, Program, SampleConfig};
 
-#[test]
-fn calibration_exact_on_exact_mappings() {
-    // On every platform, every calibration row whose mapping is exact must
-    // match the analytic expectation exactly — "event counts converge to
-    // the expected value".
-    for plat in simcpu::all_platforms() {
-        for w in calibration_suite() {
-            for row in calibrate_workload(&plat, &w, 9) {
-                if !row.inexact_mapping {
-                    assert!(
-                        row.pass(),
-                        "{}/{}/{}: measured {} expected {}",
-                        row.platform,
-                        row.workload,
-                        row.preset.name(),
-                        row.measured,
-                        row.expected
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn inexact_mappings_overcount_never_undercount() {
-    // Inexact mappings are supersets: measured >= expected.
-    for plat in simcpu::all_platforms() {
-        for w in calibration_suite() {
-            for row in calibrate_workload(&plat, &w, 9) {
-                if row.inexact_mapping {
-                    assert!(
-                        row.measured >= row.expected,
-                        "{}/{}/{}: superset mapping undercounted",
-                        row.platform,
-                        row.workload,
-                        row.preset.name()
-                    );
-                }
-            }
-        }
-    }
+/// The E4 sweep at seed 9: every built-in platform through
+/// `papi_calibrate`'s entry point.
+fn calibrate_builtins() -> Vec<CalRow> {
+    let reg = std::sync::Arc::new(full_registry());
+    run_calibration(&reg, &default_platforms(&reg), 9).expect("built-in platforms calibrate")
 }
 
 #[test]
@@ -415,12 +380,11 @@ fn measurement_perturbs_the_cache() {
 fn calibration_stays_inside_the_recorded_experiment_envelope() {
     // Regression lock on E4 (EXPERIMENTS.md): the calibration sweep's
     // aggregate accuracy must never drift from what was recorded there —
-    // 235 measurements, all 210 exact mappings analytically exact, 25
-    // inexact-flagged supersets of which exactly 8 differ, worst-case
+    // 235 measurements, all 210 exact mappings analytically exact ("event
+    // counts converge to the expected value"), 25 inexact-flagged supersets
+    // that never undercount and of which exactly 8 differ, worst-case
     // overcount the POWER3 convert/rounding anecdote (+33.3 %).
-    use papi_suite::tools::calibrate_all;
-
-    let rows = calibrate_all(&simcpu::all_platforms(), &calibration_suite(), 9);
+    let rows = calibrate_builtins();
     assert_eq!(rows.len(), 235, "calibration sweep changed shape");
 
     let (exact, inexact): (Vec<_>, Vec<_>) = rows.iter().partition(|r| !r.inexact_mapping);
@@ -487,10 +451,9 @@ fn calibration_stays_inside_the_recorded_experiment_envelope() {
 /// disagree.
 #[test]
 fn calibrate_scoring_is_the_shared_grading_module() {
-    use papi_suite::tools::calibrate_all;
     use papi_suite::workloads::grading::{self, Grade};
 
-    let rows = calibrate_all(&simcpu::all_platforms(), &calibration_suite(), 9);
+    let rows = calibrate_builtins();
     assert_eq!(rows.len(), 235, "calibration sweep changed shape");
 
     let mut deviating = 0;

@@ -4,14 +4,18 @@
 use papi_suite::papi::{Papi, Preset, SimSubstrate};
 use papi_suite::tools::papirun::{papirun, papirun_with, RunOptions};
 use papi_suite::tools::tracer::{Timeline, Tracer};
-use papi_suite::tools::{calibrate_all, render_report, Dynaprof, Perfometer, ProbeMetric};
-use papi_suite::workloads::{calibration_suite, dense_fp, matmul, phased, tight_calls};
+use papi_suite::tools::{
+    default_platforms, full_registry, render_report, run_calibration, Dynaprof, Perfometer,
+    ProbeMetric,
+};
+use papi_suite::workloads::{dense_fp, matmul, phased, tight_calls};
 use simcpu::platform::{sim_generic, sim_power3, sim_t3e, sim_x86};
 use simcpu::Machine;
 
 #[test]
 fn calibrate_all_platforms_report() {
-    let rows = calibrate_all(&simcpu::all_platforms(), &calibration_suite(), 7);
+    let reg = std::sync::Arc::new(full_registry());
+    let rows = run_calibration(&reg, &default_platforms(&reg), 7).unwrap();
     assert!(
         rows.len() > 60,
         "expected a dense calibration matrix, got {}",
