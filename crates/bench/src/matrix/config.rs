@@ -48,6 +48,10 @@ pub enum Op {
     Read,
     /// `accum` — read-and-add into a caller accumulator, zero-allocation.
     Accum,
+    /// `restart` — `stop`, then `start`, of the cell's set: the control
+    /// path a tool takes to re-arm a set. One allocation per op, the
+    /// vector `stop` returns.
+    Restart,
 }
 
 impl Op {
@@ -57,6 +61,7 @@ impl Op {
             "read_into" => Some(Op::ReadInto),
             "read" => Some(Op::Read),
             "accum" => Some(Op::Accum),
+            "restart" => Some(Op::Restart),
             _ => None,
         }
     }
@@ -67,13 +72,15 @@ impl Op {
             Op::ReadInto => "read_into",
             Op::Read => "read",
             Op::Accum => "accum",
+            Op::Restart => "restart",
         }
     }
 
     /// Whether the zero-allocation steady-state guarantee applies to this
-    /// operation (`read` intentionally allocates its return vector).
+    /// operation (`read` intentionally allocates its return vector, and so
+    /// does `restart`'s `stop`).
     pub fn zero_alloc(self) -> bool {
-        !matches!(self, Op::Read)
+        !matches!(self, Op::Read | Op::Restart)
     }
 }
 
@@ -232,7 +239,7 @@ impl MatrixConfig {
                 v.err(
                     "op",
                     "op",
-                    format!("unknown op `{op}` (read_into | read | accum)"),
+                    format!("unknown op `{op}` (read_into | read | accum | restart)"),
                 )
             })?;
             let substrates = k.substrates.unwrap_or_else(|| d_subs.clone());

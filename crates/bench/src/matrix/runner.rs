@@ -346,5 +346,6 @@ fn burst<S: Substrate + Send>(
             ok
         }
         Op::Accum => (0..iters).all(|_| token.accum(set, out).is_ok()),
+        Op::Restart => (0..iters).all(|_| token.stop(set).is_ok() && token.start(set).is_ok()),
     })
 }

@@ -7,16 +7,33 @@
 //! From then on `read_into` and `accum` must not touch the heap at all, on
 //! both the statically dispatched and the registry-boxed session, with or
 //! without a papi-obs context attached (journal off — journaling buys
-//! records with allocations by design).
+//! records with allocations by design). The same holds for a multiplex
+//! rotation and an overflow delivery, and for `start` of an unchanged set,
+//! which reuses the set's compiled form; `stop` allocates only the vector
+//! it returns.
 
 use papi_bench::{papi_named, papi_on};
-use papi_core::{AppExit, Papi, Preset, SimSubstrate, Substrate};
+use papi_core::{AppExit, Papi, Preset, ProfilConfig, SimSubstrate, Substrate};
 use papi_obs::alloc_track::count_in;
+use papi_obs::Counter;
 use papi_workloads::{dense_fp, pingpong, strided_stream};
 use simcpu::platform::sim_x86;
-use simcpu::Machine;
+use simcpu::{Machine, Program};
 
 const EVENTS: [Preset; 4] = [Preset::TotCyc, Preset::TotIns, Preset::LdIns, Preset::SrIns];
+
+/// LdIns, SrIns and L1 cache misses compete for counters 2-3 on sim-x86:
+/// a multiplexed set of the three needs two partitions.
+const MPX_EVENTS: [Preset; 3] = [Preset::LdIns, Preset::SrIns, Preset::L1Dcm];
+
+/// Cycles of application between two restarts or two counted slices.
+const SLICE: u64 = 100_000;
+
+/// A program that outlives every counted window here (tens of millions of
+/// cycles), so each `run_for` slice ends `Paused`, never `Halted`.
+fn long_program() -> Program {
+    dense_fp(10_000_000, 4, 2).program
+}
 
 fn started_4ev<S: Substrate>(papi: &mut Papi<S>) -> usize {
     let set = papi.create_eventset();
@@ -236,13 +253,14 @@ fn observer_snapshots_are_allocation_free_on_both_sides() {
 #[test]
 fn rotate_and_mpx_read_are_allocation_free_in_steady_state() {
     // Multiplexed sets share the guarantee once the partitions have cycled:
-    // rotation programs through the prog scratch and flushes through the
-    // live scratch.
-    let mut papi = papi_on(sim_x86(), dense_fp(400, 1, 0).program, 1);
+    // rotation programs through the prog scratch, the simulator borrows the
+    // event descriptors it programs, and the flush goes through the live
+    // scratch.
+    let mut papi = papi_on(sim_x86(), long_program(), 1);
+    let obs = papi_obs::Obs::new();
+    papi.attach_obs(obs.clone());
     let set = papi.create_eventset();
-    // LdIns, SrIns and L1 cache misses compete for counters 2-3 on sim-x86:
-    // forces two partitions.
-    for ev in [Preset::LdIns, Preset::SrIns, Preset::L1Dcm] {
+    for ev in MPX_EVENTS {
         papi.add_event(set, ev.code()).unwrap();
     }
     papi.set_multiplex(set).unwrap();
@@ -251,20 +269,286 @@ fn rotate_and_mpx_read_are_allocation_free_in_steady_state() {
     // Let the timer rotate through both partitions a few times, then warm
     // the read path.
     for _ in 0..6 {
-        papi.run_for(200_000).unwrap();
+        assert_eq!(papi.run_for(2 * SLICE).unwrap(), AppExit::Paused);
         papi.read_into(set, &mut out).unwrap();
     }
-    let ((), allocs) = count_in(|| {
-        for _ in 0..20 {
-            papi.run_for(200_000).unwrap();
+    let rotations = obs.get(Counter::MpxRotations);
+    let (exits, allocs) = count_in(|| {
+        let mut exits = [AppExit::Paused; 20];
+        for exit in &mut exits {
+            *exit = papi.run_for(2 * SLICE).unwrap();
             papi.read_into(set, &mut out).unwrap();
         }
+        exits
     });
+    assert!(
+        exits.iter().all(|&e| e == AppExit::Paused),
+        "the program halted inside the window: {exits:?}"
+    );
+    let rotated = obs.get(Counter::MpxRotations) - rotations;
+    assert!(rotated >= 10, "only {rotated} rotations in the window");
     assert_eq!(
         allocs, 0,
-        "multiplexed rotate+read allocated in steady state"
+        "multiplexed rotate+read allocated in steady state ({rotated} rotations)"
     );
     std::hint::black_box(out[0]);
+}
+
+/// One step of the restart protocol, applied to whatever session flavour
+/// the caller holds.
+enum Ctl {
+    Run,
+    Stop,
+    Start,
+}
+
+/// Restart an unchanged, started set 20 times after a warm-up, with
+/// application time between restarts: every `start` reuses the set's
+/// compiled form and allocates nothing, and every `stop` allocates once,
+/// the vector it returns.
+fn assert_restarts_allocate_only_stops_vector(label: &str, mut ctl: impl FnMut(Ctl)) {
+    for _ in 0..3 {
+        ctl(Ctl::Run);
+        ctl(Ctl::Stop);
+        ctl(Ctl::Start);
+    }
+    let (mut stop_allocs, mut start_allocs) = (0, 0);
+    for _ in 0..20 {
+        ctl(Ctl::Run);
+        stop_allocs += count_in(|| ctl(Ctl::Stop)).1;
+        start_allocs += count_in(|| ctl(Ctl::Start)).1;
+    }
+    assert_eq!(
+        start_allocs, 0,
+        "{label}: start of an unchanged set allocated"
+    );
+    assert_eq!(
+        stop_allocs, 20,
+        "{label}: stop allocated more than its returned vector"
+    );
+}
+
+/// The restart check on a session, for a direct set of `direct` and a
+/// multiplexed set of the platform's available `mpx_events`, which must
+/// rotate between restarts.
+fn assert_session_restarts_allocate_only_stops_vector<S: Substrate>(
+    mut open: impl FnMut() -> Papi<S>,
+    label: &str,
+    direct: &[Preset],
+    mpx_events: &[Preset],
+) {
+    for (events, multiplex) in [(direct, false), (mpx_events, true)] {
+        let mut papi = open();
+        let obs = papi_obs::Obs::new();
+        papi.attach_obs(obs.clone());
+        let set = papi.create_eventset();
+        if multiplex {
+            papi.set_multiplex(set).unwrap();
+        }
+        for ev in events {
+            // Multiplexed sets take what the platform offers.
+            let r = papi.add_event(set, ev.code());
+            assert!(multiplex || r.is_ok(), "{label}: {ev:?}: {r:?}");
+        }
+        papi.start(set).unwrap();
+        let label = format!("{label} multiplex={multiplex}");
+        assert_restarts_allocate_only_stops_vector(&label, |c| match c {
+            Ctl::Run => assert_eq!(papi.run_for(SLICE).unwrap(), AppExit::Paused),
+            Ctl::Stop => {
+                std::hint::black_box(papi.stop(set).unwrap());
+            }
+            Ctl::Start => papi.start(set).unwrap(),
+        });
+        let rotations = obs.get(Counter::MpxRotations);
+        assert_eq!(multiplex, rotations > 0, "{label}: {rotations} rotations");
+    }
+}
+
+#[test]
+fn restarting_an_unchanged_set_allocates_only_stops_vector_static() {
+    assert_session_restarts_allocate_only_stops_vector(
+        || papi_on(sim_x86(), long_program(), 1),
+        "static",
+        &EVENTS,
+        &MPX_EVENTS,
+    );
+}
+
+#[test]
+fn restarting_an_unchanged_set_allocates_only_stops_vector_token() {
+    use papi_core::{SubstrateRegistry, ThreadedPapi};
+    use std::sync::Arc;
+
+    let reg = Arc::new(SubstrateRegistry::with_builtin());
+    let pool = Arc::new(ThreadedPapi::new(1, move |seed| {
+        let mut papi = Papi::init_from_registry(&reg, "sim:x86", seed)?;
+        papi.substrate_mut().load_program(long_program())?;
+        Ok(papi)
+    }));
+    let token = pool.register_thread().unwrap();
+    for (events, multiplex) in [(&EVENTS[..], false), (&MPX_EVENTS[..], true)] {
+        let set = token.create_eventset();
+        if multiplex {
+            token.set_multiplex(set).unwrap();
+        }
+        for ev in events {
+            token.add_event(set, ev.code()).unwrap();
+        }
+        token.start(set).unwrap();
+        let label = format!("token multiplex={multiplex}");
+        assert_restarts_allocate_only_stops_vector(&label, |c| match c {
+            Ctl::Run => assert_eq!(token.run_for(SLICE).unwrap(), AppExit::Paused),
+            Ctl::Stop => {
+                std::hint::black_box(token.stop(set).unwrap());
+            }
+            Ctl::Start => token.start(set).unwrap(),
+        });
+        token.stop(set).unwrap();
+        token.destroy_eventset(set).unwrap();
+    }
+    pool.unregister_thread(token).unwrap();
+}
+
+/// Presets a multiplexed set draws from on every platform: more natives
+/// than any shipped platform has counters, so the set is partitioned.
+const MANY_EVENTS: [Preset; 12] = [
+    Preset::TotCyc,
+    Preset::TotIns,
+    Preset::LdIns,
+    Preset::SrIns,
+    Preset::BrIns,
+    Preset::FmaIns,
+    Preset::FpIns,
+    Preset::L1Dcm,
+    Preset::L1Icm,
+    Preset::L2Tcm,
+    Preset::TlbDm,
+    Preset::BrMsp,
+];
+
+#[test]
+fn restarts_and_rotations_are_allocation_free_on_every_simulated_substrate() {
+    // Boxed sessions on every built-in simulated platform and a data-file
+    // platform, bare and behind a decorator whose 32-bit counters engage
+    // the widening state (which the compiled form keeps and a restart only
+    // rewinds): a restart allocates only stop's vector, and a multiplexed
+    // set rotates without allocating.
+    let reg = papi_tools::full_registry();
+    let rv64 = concat!(
+        "file:",
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../platforms/sim-rv64.toml"
+    );
+    let mut names: Vec<String> = reg
+        .names()
+        .into_iter()
+        .filter(|n| n.starts_with("sim:"))
+        .map(str::to_string)
+        .collect();
+    names.push(rv64.to_string());
+    assert!(names.len() >= 9, "{names:?}");
+    for name in names
+        .iter()
+        .flat_map(|n| [n.clone(), format!("fault[bits=32]:{n}")])
+    {
+        assert_session_restarts_allocate_only_stops_vector(
+            || papi_named(&name, long_program(), 1),
+            &name,
+            &[Preset::TotCyc],
+            &MANY_EVENTS,
+        );
+        // A set of every available preset from the pool, multiplexed.
+        let mut papi = papi_named(&name, long_program(), 1);
+        let obs = papi_obs::Obs::new();
+        papi.attach_obs(obs.clone());
+        let set = papi.create_eventset();
+        papi.set_multiplex(set).unwrap();
+        let n = MANY_EVENTS
+            .iter()
+            .filter(|ev| papi.add_event(set, ev.code()).is_ok())
+            .count();
+        papi.start(set).unwrap();
+        let mut out = vec![0i64; n];
+        for _ in 0..4 {
+            assert_eq!(papi.run_for(SLICE).unwrap(), AppExit::Paused);
+            papi.read_into(set, &mut out).unwrap();
+        }
+        let rotations = obs.get(Counter::MpxRotations);
+        let ((), allocs) = count_in(|| {
+            for _ in 0..10 {
+                assert_eq!(papi.run_for(SLICE).unwrap(), AppExit::Paused);
+                papi.read_into(set, &mut out).unwrap();
+            }
+        });
+        let rotated = obs.get(Counter::MpxRotations) - rotations;
+        assert!(rotated >= 5, "{name}: only {rotated} rotations");
+        assert_eq!(allocs, 0, "{name}: {rotated} rotations allocated");
+    }
+}
+
+#[test]
+fn overflow_delivery_is_allocation_free_in_steady_state() {
+    // A handler route and a profil route: each interrupt walks the armed
+    // routes in place, calls the handler and bumps a histogram bucket.
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    let program = long_program();
+    let text_end = simcpu::TEXT_BASE + 4 * program.insts.len() as u64;
+    let mut papi = papi_on(sim_x86(), program, 1);
+    let obs = papi_obs::Obs::new();
+    papi.attach_obs(obs.clone());
+    let set = papi.create_eventset();
+    for ev in [Preset::TotCyc, Preset::TotIns] {
+        papi.add_event(set, ev.code()).unwrap();
+    }
+    let fired = Arc::new(AtomicU64::new(0));
+    let seen = fired.clone();
+    papi.overflow(
+        set,
+        Preset::TotCyc.code(),
+        20_000,
+        Box::new(move |_| {
+            seen.fetch_add(1, Ordering::Relaxed);
+        }),
+    )
+    .unwrap();
+    let pid = papi
+        .profil(
+            set,
+            Preset::TotIns.code(),
+            ProfilConfig {
+                start: simcpu::TEXT_BASE,
+                end: text_end,
+                bucket_bytes: 4,
+                threshold: 10_000,
+            },
+        )
+        .unwrap();
+    papi.start(set).unwrap();
+    for _ in 0..5 {
+        assert_eq!(papi.run_for(SLICE).unwrap(), AppExit::Paused);
+    }
+    let (interrupts, handled, profiled) = (
+        obs.get(Counter::OverflowInterrupts),
+        fired.load(Ordering::Relaxed),
+        papi.profil_histogram(pid).unwrap().total_samples(),
+    );
+    let ((), allocs) = count_in(|| {
+        for _ in 0..20 {
+            assert_eq!(papi.run_for(SLICE).unwrap(), AppExit::Paused);
+        }
+    });
+    let interrupts = obs.get(Counter::OverflowInterrupts) - interrupts;
+    let handled = fired.load(Ordering::Relaxed) - handled;
+    let profiled = papi.profil_histogram(pid).unwrap().total_samples() - profiled;
+    assert!(interrupts >= 100, "only {interrupts} interrupts");
+    assert!(
+        handled > 0 && profiled > 0,
+        "handler {handled}, profil {profiled}"
+    );
+    assert_eq!(allocs, 0, "{interrupts} overflow deliveries allocated");
+    papi.stop(set).unwrap();
 }
 
 #[test]

@@ -166,137 +166,6 @@ pub fn is_allocatable(
     allocate_with(model, codes, natives, &mut AllocStats::default()).is_some()
 }
 
-/// A structural fingerprint of a translation model, used to key (and
-/// invalidate) memoized allocator solutions.  Two models with the same
-/// fingerprint translate identical requests into identical solver instances.
-pub fn model_fingerprint(model: &AllocModel) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    match model {
-        AllocModel::Masks(m) => {
-            0u8.hash(&mut h);
-            m.num_counters.hash(&mut h);
-        }
-        AllocModel::Groups(g) => {
-            1u8.hash(&mut h);
-            for grp in &g.groups {
-                grp.id.hash(&mut h);
-                grp.events.hash(&mut h);
-            }
-        }
-    }
-    h.finish()
-}
-
-/// Most entries a memo cache retains before evicting its oldest; tools cycle
-/// through a handful of EventSets, so a small bound keeps lookups cheap.
-const ALLOC_MEMO_CAP: usize = 64;
-
-/// Memoized allocator solutions, keyed by the *sorted* native-code signature
-/// plus the model fingerprint.
-///
-/// The counter-mask/group constraints of a request depend only on *which*
-/// codes are requested, never on request order or machine state, so a
-/// solved assignment can be replayed for any permutation of the same codes:
-/// entries store the assignment *by code* and [`AllocCache::allocate`]
-/// projects it back into request order.  Re-`start` of an unchanged
-/// EventSet — and the re-solve after an add/remove round-trip that restores
-/// a previously seen signature — therefore skips the augmenting-path search
-/// entirely.  Infeasible signatures are memoized too (`None`), so repeated
-/// doomed requests also skip the search.
-/// A memoized solution: the by-code counter assignment, or `None` for a
-/// signature proven infeasible.
-type CachedAssignment = Option<Vec<(u32, usize)>>;
-
-#[derive(Debug, Default)]
-pub struct AllocCache {
-    /// `(sorted codes, by-code assignment)`, oldest first.
-    entries: Vec<(Vec<u32>, CachedAssignment)>,
-    model_fp: Option<u64>,
-    hits: u64,
-    misses: u64,
-}
-
-impl AllocCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// [`allocate_with`], memoized.  Returns the assignment (in request
-    /// order) and whether it was served from the cache.  On a miss the
-    /// solver runs and `stats` accumulates its effort exactly as in a cold
-    /// solve; on a hit `stats` is untouched.
-    pub fn allocate(
-        &mut self,
-        model: &AllocModel,
-        codes: &[u32],
-        natives: &[NativeEventDesc],
-        stats: &mut AllocStats,
-    ) -> (Option<Vec<usize>>, bool) {
-        let fp = model_fingerprint(model);
-        if self.model_fp != Some(fp) {
-            // Different constraint scheme: stale solutions are meaningless.
-            self.entries.clear();
-            self.model_fp = Some(fp);
-        }
-        let mut key: Vec<u32> = codes.to_vec();
-        key.sort_unstable();
-        if key.windows(2).any(|w| w[0] == w[1]) {
-            // Duplicate codes make the by-code projection ambiguous; solve
-            // directly without touching the cache.
-            self.misses += 1;
-            return (allocate_with(model, codes, natives, stats), false);
-        }
-        if let Some((_, memo)) = self.entries.iter().find(|(k, _)| *k == key) {
-            self.hits += 1;
-            let assign = memo.as_ref().map(|by_code| {
-                codes
-                    .iter()
-                    .map(|c| {
-                        by_code
-                            .iter()
-                            .find(|(code, _)| code == c)
-                            .expect("memoized signature covers every requested code")
-                            .1
-                    })
-                    .collect()
-            });
-            return (assign, true);
-        }
-        self.misses += 1;
-        let assign = allocate_with(model, codes, natives, stats);
-        let by_code = assign
-            .as_ref()
-            .map(|a| codes.iter().copied().zip(a.iter().copied()).collect());
-        if self.entries.len() >= ALLOC_MEMO_CAP {
-            self.entries.remove(0);
-        }
-        self.entries.push((key, by_code));
-        (assign, false)
-    }
-
-    /// Requests answered from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Requests that ran the solver.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Signatures currently memoized.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache holds no signatures yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 /// Group-constrained allocation (POWER style): the requested native codes
 /// must all appear in a single group; the assignment is the event's position
 /// within that group. Returns `(group id, counter per requested code)`.
@@ -441,92 +310,6 @@ mod tests {
                 assert_eq!(split, reference, "{} + {}", a.name, b.name);
             }
         }
-    }
-
-    #[test]
-    fn memo_returns_bit_identical_assignments_to_cold_solve() {
-        // Mask platform: every 3-subset of the x86 natives, cold vs memo'd.
-        let spec = sim_x86();
-        let model = AllocModel::Masks(MaskModel {
-            num_counters: spec.num_counters,
-        });
-        let mut cache = AllocCache::new();
-        let codes: Vec<u32> = spec.events.iter().map(|e| e.code).collect();
-        for i in 0..codes.len() {
-            for j in (i + 1)..codes.len() {
-                for k in (j + 1)..codes.len() {
-                    let req = [codes[i], codes[j], codes[k]];
-                    let cold =
-                        allocate_with(&model, &req, &spec.events, &mut AllocStats::default());
-                    let (first, hit1) =
-                        cache.allocate(&model, &req, &spec.events, &mut AllocStats::default());
-                    let (second, hit2) =
-                        cache.allocate(&model, &req, &spec.events, &mut AllocStats::default());
-                    assert!(!hit1, "{req:?}: first request must be a miss");
-                    assert!(hit2, "{req:?}: second request must hit");
-                    assert_eq!(first, cold, "{req:?}: miss path is the cold solve");
-                    assert_eq!(second, cold, "{req:?}: hit replays bit-identically");
-                }
-            }
-        }
-        assert_eq!(cache.hits(), cache.misses());
-    }
-
-    #[test]
-    fn memo_replays_permutations_as_valid_assignments() {
-        let spec = sim_x86();
-        let model = AllocModel::Masks(MaskModel {
-            num_counters: spec.num_counters,
-        });
-        let mut cache = AllocCache::new();
-        let fwd: Vec<u32> = spec.events.iter().take(3).map(|e| e.code).collect();
-        let rev: Vec<u32> = fwd.iter().rev().copied().collect();
-        let (a, _) = cache.allocate(&model, &fwd, &spec.events, &mut AllocStats::default());
-        let (b, hit) = cache.allocate(&model, &rev, &spec.events, &mut AllocStats::default());
-        assert!(hit, "permutation of a seen signature must hit");
-        let (a, b) = (a.unwrap(), b.unwrap());
-        // Same counter per code, regardless of request order.
-        for (i, c) in fwd.iter().enumerate() {
-            let j = rev.iter().position(|x| x == c).unwrap();
-            assert_eq!(a[i], b[j], "code {c:#x}");
-        }
-    }
-
-    #[test]
-    fn memo_caches_infeasible_signatures_and_group_models() {
-        let p3 = sim_power3();
-        let model = AllocModel::for_platform(p3.num_counters, &p3.groups);
-        let mut cache = AllocCache::new();
-        // Two events that span groups: infeasible, from the solver and then
-        // from the memo.
-        let a = p3.event_by_name("PM_LD_MISS_L1").unwrap().code;
-        let b = p3.event_by_name("PM_BR_TAKEN").unwrap().code;
-        let (r1, h1) = cache.allocate(&model, &[a, b], &p3.events, &mut AllocStats::default());
-        let (r2, h2) = cache.allocate(&model, &[a, b], &p3.events, &mut AllocStats::default());
-        assert!(r1.is_none() && r2.is_none());
-        assert!(!h1 && h2);
-        // Switching the model invalidates the cache.
-        let masks = AllocModel::Masks(MaskModel { num_counters: 4 });
-        let (_, h3) = cache.allocate(&masks, &[a, b], &p3.events, &mut AllocStats::default());
-        assert!(!h3, "model change must flush memoized solutions");
-    }
-
-    #[test]
-    fn memo_bypasses_duplicate_code_requests() {
-        let spec = sim_x86();
-        let model = AllocModel::Masks(MaskModel {
-            num_counters: spec.num_counters,
-        });
-        let mut cache = AllocCache::new();
-        let c = spec.events[0].code;
-        let cold = allocate_with(&model, &[c, c], &spec.events, &mut AllocStats::default());
-        for _ in 0..2 {
-            let (got, hit) =
-                cache.allocate(&model, &[c, c], &spec.events, &mut AllocStats::default());
-            assert_eq!(got, cold);
-            assert!(!hit, "duplicate-code requests never hit the memo");
-        }
-        assert!(cache.is_empty());
     }
 
     #[test]

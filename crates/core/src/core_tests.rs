@@ -914,3 +914,248 @@ fn obs_detach_and_reuse() {
     assert_eq!(detached.get(papi_obs::Counter::Starts), 0);
     assert_eq!(detached.get(papi_obs::Counter::EventsetCreated), 1);
 }
+
+// --- the compiled form: every stopped-state edit discards it -------------
+//
+// Each test below starts and stops a set once, so the set holds the form
+// its start compiled, then makes one stopped-state call before the next
+// start. A start that reused the stale form would count the old set.
+
+/// Start and stop `set` once: it now holds its compiled form.
+fn start_and_stop<S: Substrate>(p: &mut Papi<S>, set: EventSetId) {
+    p.start(set).unwrap();
+    p.stop(set).unwrap();
+}
+
+/// Thread 0 runs 120 000 FMAs; thread 1 a short integer loop and no FMA.
+/// Counters are virtualized per thread.
+fn two_thread_papi() -> Papi<SimSubstrate> {
+    let mut m = Machine::new(sim_generic(), 14);
+    m.load(fma_loop(30_000, 4));
+    let mut b = ProgramBuilder::new();
+    b.func("main", |f| {
+        f.loop_(100, |f| {
+            f.int(4);
+        });
+    });
+    m.load(b.build("main"));
+    m.set_granularity(simcpu::Granularity::Thread);
+    Papi::init(SimSubstrate::new(m)).unwrap()
+}
+
+#[test]
+fn add_event_before_a_restart_is_counted() {
+    let mut p = papi_on(sim_generic(), fma_loop(1000, 4));
+    let set = p.create_eventset();
+    p.add_event(set, Preset::TotIns.code()).unwrap();
+    start_and_stop(&mut p, set);
+    p.add_event(set, Preset::FmaIns.code()).unwrap();
+    p.start(set).unwrap();
+    p.run_app().unwrap();
+    assert_eq!(p.stop(set).unwrap(), vec![1000 * 5 + 2, 4000]);
+}
+
+#[test]
+fn remove_event_before_a_restart_is_not_counted() {
+    let mut p = papi_on(sim_generic(), fma_loop(1000, 4));
+    let set = p.create_eventset();
+    p.add_events(set, &[Preset::FmaIns.code(), Preset::TotIns.code()])
+        .unwrap();
+    start_and_stop(&mut p, set);
+    p.remove_event(set, Preset::FmaIns.code()).unwrap();
+    p.start(set).unwrap();
+    p.run_app().unwrap();
+    assert_eq!(p.stop(set).unwrap(), vec![1000 * 5 + 2]);
+}
+
+#[test]
+fn set_multiplex_before_a_restart_is_checked_against_attach() {
+    // Multiplexing and attach exclude each other; the conflict surfaces
+    // at the next start, which must see the set as it now stands.
+    let mut p = two_thread_papi();
+    let set = p.create_eventset();
+    p.add_event(set, Preset::FmaIns.code()).unwrap();
+    p.attach(set, 0).unwrap();
+    start_and_stop(&mut p, set);
+    p.set_multiplex(set).unwrap();
+    assert!(matches!(p.start(set), Err(PapiError::Cnflct)));
+}
+
+#[test]
+fn set_multiplex_period_before_a_restart_sets_the_rotation_rate() {
+    let mut p = papi_on(sim_x86(), fma_loop(300_000, 4));
+    let obs = papi_obs::Obs::new();
+    p.attach_obs(obs.clone());
+    let set = p.create_eventset();
+    for pr in [Preset::FdvIns, Preset::FmaIns, Preset::FpOps] {
+        p.add_event(set, pr.code()).unwrap();
+    }
+    p.set_multiplex(set).unwrap();
+    p.set_multiplex_period(set, 100_000_000).unwrap();
+    start_and_stop(&mut p, set);
+    p.set_multiplex_period(set, 20_000).unwrap();
+    p.start(set).unwrap();
+    assert_eq!(p.run_for(400_000).unwrap(), AppExit::Paused);
+    p.stop(set).unwrap();
+    let rotations = obs.get(papi_obs::Counter::MpxRotations);
+    assert!(
+        rotations >= 10,
+        "{rotations} rotations at a 20 000-cycle period"
+    );
+}
+
+#[test]
+fn set_domain_before_a_restart_sets_what_is_counted() {
+    // Nothing runs in user mode here: only the ALL domain sees the read's
+    // own kernel cycles.
+    let mut p = papi_on(sim_x86(), fma_loop(1000, 4));
+    let set = p.create_eventset();
+    p.add_event(set, Preset::TotCyc.code()).unwrap();
+    start_and_stop(&mut p, set);
+    p.set_domain(set, Domain::ALL).unwrap();
+    p.start(set).unwrap();
+    let v = p.read(set).unwrap();
+    p.stop(set).unwrap();
+    assert!(v[0] > 0, "ALL-domain cycles {v:?}");
+}
+
+#[test]
+fn attach_before_a_restart_selects_the_thread_counted() {
+    let mut p = two_thread_papi();
+    let set = p.create_eventset();
+    p.add_event(set, Preset::FmaIns.code()).unwrap();
+    p.attach(set, 0).unwrap();
+    start_and_stop(&mut p, set);
+    p.attach(set, 1).unwrap();
+    p.start(set).unwrap();
+    p.run_app().unwrap();
+    assert_eq!(p.stop(set).unwrap(), vec![0], "thread 1 runs no FMA");
+}
+
+#[test]
+fn detach_before_a_restart_counts_the_running_thread() {
+    let mut p = two_thread_papi();
+    let set = p.create_eventset();
+    p.add_event(set, Preset::FmaIns.code()).unwrap();
+    p.attach(set, 1).unwrap();
+    start_and_stop(&mut p, set);
+    p.detach(set).unwrap();
+    p.start(set).unwrap();
+    p.run_app().unwrap();
+    // Thread 0 halts last, so the live registers hold its FMAs.
+    assert_eq!(p.stop(set).unwrap(), vec![120_000]);
+}
+
+#[test]
+fn overflow_registered_before_a_restart_fires() {
+    let mut p = papi_on(sim_generic(), fma_loop(10_000, 4));
+    let set = p.create_eventset();
+    p.add_event(set, Preset::FmaIns.code()).unwrap();
+    start_and_stop(&mut p, set);
+    let hits = Arc::new(Mutex::new(0u32));
+    let h = hits.clone();
+    p.overflow(
+        set,
+        Preset::FmaIns.code(),
+        1000,
+        Box::new(move |_| *h.lock().unwrap() += 1),
+    )
+    .unwrap();
+    p.start(set).unwrap();
+    p.run_app().unwrap();
+    p.stop(set).unwrap();
+    assert!(
+        *hits.lock().unwrap() >= 30,
+        "{} deliveries",
+        hits.lock().unwrap()
+    );
+}
+
+#[test]
+fn profil_registered_before_a_restart_collects() {
+    let prog = fma_loop(10_000, 4);
+    let end = simcpu::TEXT_BASE + 4 * prog.insts.len() as u64;
+    let mut p = papi_on(sim_generic(), prog);
+    let set = p.create_eventset();
+    p.add_event(set, Preset::FmaIns.code()).unwrap();
+    start_and_stop(&mut p, set);
+    let cfg = ProfilConfig {
+        start: simcpu::TEXT_BASE,
+        end,
+        bucket_bytes: 4,
+        threshold: 1000,
+    };
+    let pid = p.profil(set, Preset::FmaIns.code(), cfg).unwrap();
+    p.start(set).unwrap();
+    p.run_app().unwrap();
+    p.stop(set).unwrap();
+    let samples = p.profil_histogram(pid).unwrap().total_samples();
+    assert!(samples >= 30, "{samples} samples");
+}
+
+#[test]
+fn destroy_eventset_drops_the_compiled_form() {
+    let mut p = papi_on(sim_generic(), fma_loop(1000, 4));
+    let set = p.create_eventset();
+    p.add_event(set, Preset::FmaIns.code()).unwrap();
+    start_and_stop(&mut p, set);
+    p.destroy_eventset(set).unwrap();
+    assert!(matches!(p.start(set), Err(PapiError::NoEvst(_))));
+}
+
+#[test]
+fn restart_reuses_the_compiled_form_and_counts_from_zero() {
+    // alloc.memo_hits/misses count starts that reused or built the form.
+    let mut p = papi_on(sim_generic(), fma_loop(10_000, 4));
+    let obs = papi_obs::Obs::new();
+    p.attach_obs(obs.clone());
+    let set = p.create_eventset();
+    p.add_events(set, &[Preset::FmaIns.code(), Preset::TotIns.code()])
+        .unwrap();
+    p.start(set).unwrap();
+    assert_eq!(p.run_for(20_000).unwrap(), AppExit::Paused);
+    let first = p.stop(set).unwrap();
+    p.start(set).unwrap();
+    assert_eq!(p.read(set).unwrap(), vec![0, 0]);
+    assert_eq!(p.run_for(20_000).unwrap(), AppExit::Paused);
+    let second = p.stop(set).unwrap();
+    assert!(first[0] > 0 && second[0] > 0, "{first:?} {second:?}");
+    use papi_obs::Counter as C;
+    assert_eq!(obs.get(C::AllocMemoMisses), 1);
+    assert_eq!(obs.get(C::AllocMemoHits), 1);
+    assert_eq!(obs.get(C::AllocAttempts), 1);
+}
+
+#[test]
+fn reprogramming_drops_the_previous_sets_undelivered_overflow() {
+    // Set A counts every cycle, kernel ones included, and overflows every
+    // 1000: the crossings that stop it raise an overflow nothing has taken
+    // yet. Set B reprograms the same counter with a threshold it never
+    // reaches, so its handler must never fire.
+    let mut p = papi_on(sim_x86(), fma_loop(1_000_000, 4));
+    let a = p.create_eventset();
+    p.add_event(a, Preset::TotCyc.code()).unwrap();
+    p.set_domain(a, Domain::ALL).unwrap();
+    p.overflow(a, Preset::TotCyc.code(), 1000, Box::new(|_| {}))
+        .unwrap();
+    p.start(a).unwrap();
+    assert_eq!(p.run_for(50_000).unwrap(), AppExit::Paused);
+    p.stop(a).unwrap();
+
+    let fired = Arc::new(Mutex::new(Vec::new()));
+    let f = fired.clone();
+    let b = p.create_eventset();
+    p.add_event(b, Preset::TotCyc.code()).unwrap();
+    p.overflow(
+        b,
+        Preset::TotCyc.code(),
+        1 << 40,
+        Box::new(move |info| f.lock().unwrap().push(info.pc)),
+    )
+    .unwrap();
+    p.start(b).unwrap();
+    assert_eq!(p.run_for(50_000).unwrap(), AppExit::Paused);
+    p.stop(b).unwrap();
+    let pcs = fired.lock().unwrap();
+    assert!(pcs.is_empty(), "set B's handler fired at {pcs:x?}");
+}

@@ -11,7 +11,7 @@
 
 use crate::alloc;
 use crate::error::{PapiError, Result};
-use crate::eventset::{EventSetId, OvfRoute, SetState};
+use crate::eventset::{EventSetId, OverflowReg, OvfRoute, SetState};
 use crate::multiplex::{partition_events_with, MpxState, DEFAULT_MPX_PERIOD_CYCLES};
 use crate::profile::{Profil, ProfilConfig};
 use crate::session::Papi;
@@ -60,9 +60,9 @@ pub(crate) enum RunMode {
 /// and the derived-event term table, flattened into structure-of-arrays
 /// form — native indices and coefficients in separate contiguous vectors.
 ///
-/// Built once by `start()` and owned by the runtime for the set's whole run,
-/// so the steady-state read path walks cache-friendly slices and never
-/// clones or rebuilds per call (the paper's §4: the cost of counting must
+/// Built by a set's first `start()` as part of its [`Compiled`] form, so the
+/// steady-state read path walks cache-friendly slices and never clones or
+/// rebuilds per call (the paper's §4: the cost of counting must
 /// stay near the hardware floor for per-call instrumentation to be viable).
 /// The SoA layout lets [`ReadPlan::apply`] run as tight loops over
 /// homogeneous slices the compiler can autovectorize, instead of a per-term
@@ -126,20 +126,32 @@ impl ReadPlan {
     }
 }
 
-/// Resolution + allocation state of the running EventSet.
-pub(crate) struct Running {
-    pub(crate) set: EventSetId,
-    /// Thread this run is attached to (PAPI_attach).
-    pub(crate) attached: Option<ThreadId>,
+/// An EventSet's compiled form: everything `start` derives from the set's
+/// definition — the read plan, the counter assignment or multiplex
+/// partitions, the overflow routes and the widening state.
+///
+/// A set's first `start` builds it and the session owns it while the set
+/// runs; `stop` hands it back to the set. A later `start` of the unchanged
+/// set reprograms the hardware from it and resets its runtime fields (the
+/// multiplex slices and accumulators, the widened counts), so a restart
+/// resolves, solves and allocates nothing. Every stopped-state edit
+/// discards it (`Papi::edit_set`), and the next `start` compiles afresh.
+pub(crate) struct Compiled {
+    set: EventSetId,
+    /// Thread the set is attached to (PAPI_attach).
+    attached: Option<ThreadId>,
+    /// The domain every counter is programmed in.
+    domain: Domain,
     /// Cached read route: natives + derived-event term table.
-    pub(crate) plan: ReadPlan,
-    pub(crate) mode: RunMode,
-    /// Armed overflow routes: `(physical counter, papi code, route)`.
-    pub(crate) routes: Vec<(usize, u32, OvfRoute)>,
+    plan: ReadPlan,
+    mode: RunMode,
+    /// Overflow routes, armed on every start: `(physical counter,
+    /// registration)`.
+    routes: Vec<(usize, OverflowReg)>,
     /// Wraparound-widening state, engaged when the substrate's counters are
     /// narrower than 64 bits ([`Substrate::counter_width`]); `None` on
     /// full-width substrates, where raw readings are used verbatim.
-    pub(crate) widen: Option<WidenState>,
+    widen: Option<WidenState>,
 }
 
 /// Wraparound widening for substrates with counters narrower than 64 bits.
@@ -151,8 +163,8 @@ pub(crate) struct Running {
 /// and accumulates `(raw - last) mod 2^width` deltas into full 64-bit
 /// counts, so API-visible values never go backwards across a hardware wrap.
 ///
-/// All buffers are sized once at `start`; the steady-state widening path
-/// allocates nothing.
+/// All buffers are sized once, when the set compiles; the steady-state
+/// widening path and a restart allocate nothing.
 pub(crate) struct WidenState {
     /// `2^width - 1`.
     mask: u64,
@@ -184,6 +196,13 @@ impl WidenState {
     /// Zero the accumulated counts (the baseline is re-read separately).
     pub(crate) fn reset_acc(&mut self) {
         self.acc.iter_mut().for_each(|a| *a = 0);
+    }
+
+    /// Return to the state of a fresh compile for a new run: no widened
+    /// counts, no wraps (the baseline is re-read separately).
+    fn restart(&mut self) {
+        self.reset_acc();
+        self.wraps = 0;
     }
 
     /// Width-aware delta of counter `ctr` since its last reading.
@@ -320,6 +339,18 @@ fn program_counters<S: Substrate>(
     sub.program(image)
 }
 
+/// Disarm what `Papi::arm` armed: the overflow routes and the rotation
+/// timer.
+fn disarm<S: Substrate>(sub: &mut S, run: &Compiled) -> Result<()> {
+    for &(ctr, _) in &run.routes {
+        sub.set_overflow(ctr, None)?;
+    }
+    if matches!(run.mode, RunMode::Mpx(_)) {
+        sub.set_timer(None);
+    }
+    Ok(())
+}
+
 /// Per-session reusable buffers for the hot read/accum/rotate paths.  Sized
 /// on first use, then reused forever: the steady state performs no heap
 /// allocation.
@@ -382,10 +413,7 @@ impl<S: Substrate> Papi<S> {
         threshold: u64,
         route: OvfRoute,
     ) -> Result<()> {
-        let s = self.set_mut(id)?;
-        if s.state == SetState::Running {
-            return Err(PapiError::IsRun);
-        }
+        let s = self.edit_set(id)?;
         if s.multiplex {
             return Err(PapiError::Cnflct);
         }
@@ -458,27 +486,24 @@ impl<S: Substrate> Papi<S> {
     /// Solve counter allocation for `natives` through the PAPI-3 split: the
     /// substrate translates its constraint scheme into solver instances
     /// ([`Substrate::alloc_model`]); the hardware-independent matcher does
-    /// the rest. No group special-casing here.  Solutions are memoized by
-    /// sorted-signature, so re-`start` of an unchanged set skips the search.
+    /// the rest. No group special-casing here. Only a compile calls it, so
+    /// it also counts the start as one that built its compiled form
+    /// (`alloc.memo_misses`).
     fn allocate(&mut self, natives: &[u32]) -> Option<Vec<usize>> {
         let mut stats = alloc::AllocStats::default();
-        let (assign, memo_hit) = self.alloc_memo.allocate(
+        let assign = alloc::allocate_with(
             &self.alloc_model,
             natives,
             self.sub.native_events(),
             &mut stats,
         );
         if let Some(obs) = &self.obs {
+            obs.inc(ObsCounter::AllocMemoMisses);
             obs.inc(ObsCounter::AllocAttempts);
             obs.inc(if assign.is_some() {
                 ObsCounter::AllocSuccesses
             } else {
                 ObsCounter::AllocFailures
-            });
-            obs.inc(if memo_hit {
-                ObsCounter::AllocMemoHits
-            } else {
-                ObsCounter::AllocMemoMisses
             });
             obs.add(ObsCounter::AllocAugmentSteps, stats.augment_steps);
             obs.add(ObsCounter::AllocBacktracks, stats.backtracks);
@@ -494,7 +519,9 @@ impl<S: Substrate> Papi<S> {
 
     // --- start / stop / read ------------------------------------------------
 
-    /// `PAPI_start`: resolve, allocate, program and start the counters.
+    /// `PAPI_start`: compile the set (or reuse the form its last start
+    /// compiled, when the set is unchanged), program and start the
+    /// counters.
     pub fn start(&mut self, id: EventSetId) -> Result<()> {
         let begin_cycles = self.sub.real_cycles();
         let r = self.start_inner(id);
@@ -528,100 +555,20 @@ impl<S: Substrate> Papi<S> {
         if self.running.is_some() {
             return Err(PapiError::IsRun);
         }
-        let plan = self.resolve_set(id)?;
-        let (domain, multiplex, mpx_period, attached, overflow) = {
-            let s = self.set_ref(id)?;
-            (
-                s.domain,
-                s.multiplex,
-                s.mpx_period,
-                s.attached,
-                s.overflow.clone(),
-            )
-        };
-        if attached.is_some() && multiplex {
-            return Err(PapiError::Cnflct);
-        }
-
-        let mode = match self.allocate(&plan.natives) {
-            Some(assign) => RunMode::Direct { assign },
-            None if multiplex => {
-                let descs: Vec<&NativeEventDesc> = plan
-                    .natives
-                    .iter()
-                    .map(|&c| {
-                        self.sub
-                            .native_events()
-                            .iter()
-                            .find(|e| e.code == c)
-                            .unwrap()
-                    })
-                    .collect();
-                let parts =
-                    partition_events_with(&descs, &self.alloc_model).ok_or(PapiError::Cnflct)?;
-                let now = self.sub.real_cycles();
-                let period = mpx_period.unwrap_or(DEFAULT_MPX_PERIOD_CYCLES);
-                RunMode::Mpx(MpxState::new(parts, plan.natives.len(), period, now))
-            }
-            None => return Err(PapiError::Cnflct),
-        };
-
-        // Program the hardware for the initial configuration.
-        let mut routes = Vec::new();
-        match &mode {
-            RunMode::Direct { assign } => {
-                program_counters(
-                    &mut self.sub,
-                    &mut self.scratch.prog,
-                    assign,
-                    plan.natives.iter().copied(),
-                    domain,
-                )?;
-                // Arm overflow registrations on the counter of each event's
-                // first native term.
-                for reg in &overflow {
-                    let ev_pos = {
-                        let s = self.set_ref(id)?;
-                        s.events
-                            .iter()
-                            .position(|&e| e == reg.code)
-                            .ok_or(PapiError::NoEvnt(reg.code))?
-                    };
-                    let nidx = plan.first_native(ev_pos);
-                    let ctr = assign[nidx as usize];
-                    self.sub.set_overflow(ctr, Some(reg.threshold))?;
-                    routes.push((ctr, reg.code, reg.route));
+        let mut run = match self.set_mut(id)?.compiled.take() {
+            Some(run) => {
+                if let Some(obs) = &self.obs {
+                    obs.inc(ObsCounter::AllocMemoHits);
                 }
+                run
             }
-            RunMode::Mpx(mpx) => {
-                let part = &mpx.partitions[0];
-                program_counters(
-                    &mut self.sub,
-                    &mut self.scratch.prog,
-                    &part.counters,
-                    part.natives.iter().map(|&n| plan.natives[n]),
-                    domain,
-                )?;
-                self.sub.set_timer(Some(mpx.period));
-            }
+            None => self.compile(id)?,
+        };
+        if let Err(e) = self.arm(&mut run) {
+            self.set_mut(id)?.compiled = Some(run);
+            return Err(e);
         }
-
-        // Re-anchor the mpx clock after programming costs.
-        let mut mode = mode;
-        if let RunMode::Mpx(m) = &mut mode {
-            m.switched_at = self.sub.real_cycles();
-        }
-
-        let width = self.sub.counter_width();
-        let widen = (width < 64).then(|| WidenState::new(width, self.sub.num_counters()));
-        self.running = Some(Running {
-            set: id,
-            attached,
-            plan,
-            mode,
-            routes,
-            widen,
-        });
+        self.running = Some(run);
         self.set_mut(id)?.state = SetState::Running;
         let now = self.sub.real_cycles();
         let budget = self.retry_budget;
@@ -644,17 +591,126 @@ impl<S: Substrate> Papi<S> {
         Ok(())
     }
 
-    /// Undo the side effects of a partially performed `start`.
-    fn rollback_failed_start(&mut self, id: EventSetId) -> Result<()> {
-        if let Some(run) = self.running.take() {
-            for (ctr, _, _) in run.routes {
-                let _ = self.sub.set_overflow(ctr, None);
+    /// Compile set `id`: resolve its events, solve the counter allocation
+    /// (falling back to multiplex partitions when the set allows it) and
+    /// route its overflow registrations. Touches no hardware.
+    fn compile(&mut self, id: EventSetId) -> Result<Compiled> {
+        let plan = self.resolve_set(id)?;
+        let s = self.set_ref(id)?;
+        let (domain, multiplex, mpx_period, attached) =
+            (s.domain, s.multiplex, s.mpx_period, s.attached);
+        if attached.is_some() && multiplex {
+            return Err(PapiError::Cnflct);
+        }
+        let mode = match self.allocate(&plan.natives) {
+            Some(assign) => RunMode::Direct { assign },
+            None if multiplex => {
+                let descs: Vec<&NativeEventDesc> = plan
+                    .natives
+                    .iter()
+                    .map(|&c| {
+                        self.sub
+                            .native_events()
+                            .iter()
+                            .find(|e| e.code == c)
+                            .unwrap()
+                    })
+                    .collect();
+                let parts =
+                    partition_events_with(&descs, &self.alloc_model).ok_or(PapiError::Cnflct)?;
+                let period = mpx_period.unwrap_or(DEFAULT_MPX_PERIOD_CYCLES);
+                // The slice clock is anchored when the set is armed.
+                RunMode::Mpx(MpxState::new(parts, plan.natives.len(), period, 0))
             }
-            if matches!(run.mode, RunMode::Mpx(_)) {
-                self.sub.set_timer(None);
+            None => return Err(PapiError::Cnflct),
+        };
+        // Overflow registrations arm on the counter of their event's first
+        // native term. Registration refuses multiplexed sets, so only a
+        // direct assignment has any.
+        let mut routes = Vec::new();
+        if let RunMode::Direct { assign } = &mode {
+            let s = self.set_ref(id)?;
+            for reg in &s.overflow {
+                let ev = s
+                    .events
+                    .iter()
+                    .position(|&e| e == reg.code)
+                    .ok_or(PapiError::NoEvnt(reg.code))?;
+                routes.push((assign[plan.first_native(ev) as usize], *reg));
             }
         }
-        self.set_mut(id)?.state = SetState::Stopped;
+        let width = self.sub.counter_width();
+        let widen = (width < 64).then(|| WidenState::new(width, self.sub.num_counters()));
+        Ok(Compiled {
+            set: id,
+            attached,
+            domain,
+            plan,
+            mode,
+            routes,
+            widen,
+        })
+    }
+
+    /// Program the hardware from a compiled form and reset its runtime
+    /// fields, ready to count from zero: the direct assignment and its
+    /// overflow routes, or partition 0 and the rotation timer. The same
+    /// kernel crossings whether the form is fresh or reused.
+    fn arm(&mut self, run: &mut Compiled) -> Result<()> {
+        let Compiled {
+            domain,
+            plan,
+            mode,
+            routes,
+            widen,
+            ..
+        } = run;
+        match mode {
+            RunMode::Direct { assign } => {
+                program_counters(
+                    &mut self.sub,
+                    &mut self.scratch.prog,
+                    assign,
+                    plan.natives.iter().copied(),
+                    *domain,
+                )?;
+                for &(ctr, reg) in routes.iter() {
+                    self.sub.set_overflow(ctr, Some(reg.threshold))?;
+                }
+            }
+            RunMode::Mpx(m) => {
+                m.current = 0;
+                m.raw.iter_mut().for_each(|r| *r = 0);
+                m.active_cycles.iter_mut().for_each(|a| *a = 0);
+                let part = &m.partitions[0];
+                program_counters(
+                    &mut self.sub,
+                    &mut self.scratch.prog,
+                    &part.counters,
+                    part.natives.iter().map(|&n| plan.natives[n]),
+                    *domain,
+                )?;
+                self.sub.set_timer(Some(m.period));
+                // Anchor the slice clock after the programming costs.
+                m.switched_at = self.sub.real_cycles();
+            }
+        }
+        if let Some(w) = widen {
+            w.restart();
+        }
+        Ok(())
+    }
+
+    /// Undo the side effects of a partially performed `start`; the set
+    /// keeps its compiled form.
+    fn rollback_failed_start(&mut self, id: EventSetId) -> Result<()> {
+        let run = self.running.take();
+        if let Some(run) = &run {
+            let _ = disarm(&mut self.sub, run);
+        }
+        let s = self.set_mut(id)?;
+        s.state = SetState::Stopped;
+        s.compiled = run;
         Ok(())
     }
 
@@ -702,7 +758,7 @@ impl<S: Substrate> Papi<S> {
         if out.len() != run.plan.n_events() {
             return Err(PapiError::Inval("value buffer length mismatch"));
         }
-        let Running {
+        let Compiled {
             attached,
             plan,
             mode,
@@ -863,29 +919,22 @@ impl<S: Substrate> Papi<S> {
         r
     }
 
-    /// `PAPI_stop`: stop counting and return the final values.
+    /// `PAPI_stop`: stop counting and return the final values. The set
+    /// keeps its compiled form for its next start; the returned vector is
+    /// the only allocation.
     pub fn stop(&mut self, id: EventSetId) -> Result<Vec<i64>> {
         let mut values = vec![0i64; self.running_events(id)?];
         let begin_cycles = self.read_core(id, &mut values)?;
-        // Disarm machinery.  Stop is off the hot path, so taking the route
-        // table out of the dying Running is free (it is discarded below).
-        let (routes, was_mpx) = {
-            let run = self.running.as_mut().ok_or(PapiError::NotRun)?;
-            (
-                std::mem::take(&mut run.routes),
-                matches!(run.mode, RunMode::Mpx(_)),
-            )
-        };
-        for (ctr, _, _) in routes {
-            self.sub.set_overflow(ctr, None)?;
-        }
-        if was_mpx {
-            self.sub.set_timer(None);
+        if let Some(run) = &self.running {
+            disarm(&mut self.sub, run)?;
         }
         let budget = self.retry_budget;
         retry_transient(&self.obs, begin_cycles, budget, "stop", || self.sub.stop())?;
-        self.running = None;
-        self.set_mut(id)?.state = SetState::Stopped;
+        // Hand the compiled form back to the set for its next start.
+        let run = self.running.take();
+        let s = self.set_mut(id)?;
+        s.state = SetState::Stopped;
+        s.compiled = run;
         if let Some(obs) = &self.obs {
             let now = self.sub.real_cycles();
             obs.inc(ObsCounter::Stops);
@@ -972,31 +1021,36 @@ impl<S: Substrate> Papi<S> {
         }
     }
 
+    /// Deliver an overflow interrupt on `counter` to every route armed on
+    /// it. The routes are borrowed in place, beside the handler and profil
+    /// tables, so a delivery allocates nothing.
     fn dispatch_overflow(&mut self, counter: usize, thread: ThreadId, pc: u64) {
-        let Some(run) = &self.running else { return };
-        let set = run.set;
-        let hits: Vec<(u32, OvfRoute)> = run
-            .routes
-            .iter()
-            .filter(|(c, _, _)| *c == counter)
-            .map(|(_, code, r)| (*code, *r))
-            .collect();
-        if let Some(obs) = &self.obs {
+        let Papi {
+            sub,
+            running,
+            obs,
+            handlers,
+            profils,
+            ..
+        } = self;
+        let Some(run) = running else { return };
+        if let Some(obs) = obs {
             obs.inc(ObsCounter::OverflowInterrupts);
         }
         let mut profil_hits = 0u64;
-        for (code, route) in hits {
-            match route {
+        for &(_, reg) in run.routes.iter().filter(|(c, _)| *c == counter) {
+            let code = reg.code;
+            match reg.route {
                 OvfRoute::Profil(p) => {
-                    if let Some(prof) = self.profils.get_mut(p) {
+                    if let Some(prof) = profils.get_mut(p) {
                         prof.hit(pc);
                         profil_hits += 1;
                     }
                 }
                 OvfRoute::Handler(h) => {
-                    if let Some(obs) = &self.obs {
+                    if let Some(obs) = obs {
                         obs.inc(ObsCounter::OverflowHandlerDispatches);
-                        obs.record(self.sub.real_cycles(), || ObsEvent::OverflowFired {
+                        obs.record(sub.real_cycles(), || ObsEvent::OverflowFired {
                             counter,
                             code,
                             pc,
@@ -1004,21 +1058,21 @@ impl<S: Substrate> Papi<S> {
                         });
                     }
                     let info = OverflowInfo {
-                        set,
+                        set: run.set,
                         code,
                         pc,
                         thread,
                     };
-                    if let Some(cb) = self.handlers.get_mut(h) {
+                    if let Some(cb) = handlers.get_mut(h) {
                         cb(info);
                     }
                 }
             }
         }
         if profil_hits > 0 {
-            if let Some(obs) = &self.obs {
+            if let Some(obs) = obs {
                 obs.add(ObsCounter::ProfilHits, profil_hits);
-                obs.record(self.sub.real_cycles(), || ObsEvent::ProfilHitBatch {
+                obs.record(sub.real_cycles(), || ObsEvent::ProfilHitBatch {
                     hits: profil_hits,
                     pc,
                 });
@@ -1029,19 +1083,21 @@ impl<S: Substrate> Papi<S> {
     /// Multiplex rotation on a timer tick: fold the live partition's counts
     /// into the accumulators and program the next partition.
     ///
-    /// Like the read path, this borrows the cached plan and the session
-    /// scratch buffers in place: a steady-state rotation clones nothing and
-    /// allocates nothing.
+    /// Like the read path, this borrows the compiled plan and the session
+    /// scratch buffers in place, and the simulator programs the next
+    /// partition from borrowed event descriptors: a steady-state rotation
+    /// clones nothing and allocates nothing (papi-bench's counting-allocator
+    /// test asserts it).
     fn rotate_mpx(&mut self) -> Result<()> {
         let now = self.sub.real_cycles();
         let budget = self.retry_budget;
         let Some(run) = self.running.as_mut() else {
             return Ok(());
         };
-        // Disjoint borrows of the Running record so the plan, mode and
+        // Disjoint borrows of the compiled form so the plan, mode and
         // scratch can be used simultaneously with substrate calls.
-        let Running {
-            set,
+        let Compiled {
+            domain,
             plan,
             mode,
             widen,
@@ -1065,14 +1121,13 @@ impl<S: Substrate> Papi<S> {
         m.flush(now, &self.scratch.live);
         m.rotate();
         let to_partition = m.current;
-        let domain = self.sets[*set].as_ref().unwrap().domain;
         let part = &m.partitions[m.current];
         program_counters(
             &mut self.sub,
             &mut self.scratch.prog,
             &part.counters,
             part.natives.iter().map(|&n| plan.natives[n]),
-            domain,
+            *domain,
         )?;
         rebaseline(&mut self.sub, &self.obs, now, budget, widen)?;
         // Counting restarts now; don't charge programming time to the slice.

@@ -69,10 +69,7 @@ impl<S: Substrate> Papi<S> {
 
     /// `PAPI_destroy_eventset` (must be stopped).
     pub fn destroy_eventset(&mut self, id: EventSetId) -> Result<()> {
-        let s = self.set_ref(id)?;
-        if s.state == SetState::Running {
-            return Err(PapiError::IsRun);
-        }
+        self.edit_set(id)?;
         self.sets[id] = None;
         if let Some(obs) = &self.obs {
             obs.inc(ObsCounter::EventsetDestroyed);
@@ -97,14 +94,24 @@ impl<S: Substrate> Papi<S> {
             .ok_or(PapiError::NoEvst(id))
     }
 
-    /// `PAPI_add_event`: add a preset or native event to a stopped set.
-    pub fn add_event(&mut self, id: EventSetId, code: u32) -> Result<()> {
-        // Validate availability first (immutable borrows).
-        self.presets.resolve(code, self.sub.native_events())?;
+    /// The stopped set `id`, for an edit: `NoEvst` for an unknown id,
+    /// `IsRun` while the set runs. Discards the set's compiled form, so
+    /// its next `start` compiles the set as edited — the one gate every
+    /// stopped-state change passes through.
+    pub(crate) fn edit_set(&mut self, id: EventSetId) -> Result<&mut EventSetData> {
         let s = self.set_mut(id)?;
         if s.state == SetState::Running {
             return Err(PapiError::IsRun);
         }
+        s.compiled = None;
+        Ok(s)
+    }
+
+    /// `PAPI_add_event`: add a preset or native event to a stopped set.
+    pub fn add_event(&mut self, id: EventSetId, code: u32) -> Result<()> {
+        // Validate availability first (immutable borrows).
+        self.presets.resolve(code, self.sub.native_events())?;
+        let s = self.edit_set(id)?;
         if s.events.contains(&code) {
             return Err(PapiError::Inval("event already in set"));
         }
@@ -122,10 +129,7 @@ impl<S: Substrate> Papi<S> {
 
     /// `PAPI_remove_event`.
     pub fn remove_event(&mut self, id: EventSetId, code: u32) -> Result<()> {
-        let s = self.set_mut(id)?;
-        if s.state == SetState::Running {
-            return Err(PapiError::IsRun);
-        }
+        let s = self.edit_set(id)?;
         let pos = s
             .events
             .iter()
@@ -155,10 +159,7 @@ impl<S: Substrate> Papi<S> {
     /// Deliberately *not* the default — see the module docs of
     /// [`crate::multiplex`].
     pub fn set_multiplex(&mut self, id: EventSetId) -> Result<()> {
-        let s = self.set_mut(id)?;
-        if s.state == SetState::Running {
-            return Err(PapiError::IsRun);
-        }
+        let s = self.edit_set(id)?;
         if !s.overflow.is_empty() {
             return Err(PapiError::Cnflct);
         }
@@ -173,21 +174,13 @@ impl<S: Substrate> Papi<S> {
         if cycles == 0 {
             return Err(PapiError::Inval("zero multiplex period"));
         }
-        let s = self.set_mut(id)?;
-        if s.state == SetState::Running {
-            return Err(PapiError::IsRun);
-        }
-        s.mpx_period = Some(cycles);
+        self.edit_set(id)?.mpx_period = Some(cycles);
         Ok(())
     }
 
     /// `PAPI_set_domain` for a set.
     pub fn set_domain(&mut self, id: EventSetId, domain: Domain) -> Result<()> {
-        let s = self.set_mut(id)?;
-        if s.state == SetState::Running {
-            return Err(PapiError::IsRun);
-        }
-        s.domain = domain;
+        self.edit_set(id)?.domain = domain;
         Ok(())
     }
 
@@ -196,10 +189,7 @@ impl<S: Substrate> Papi<S> {
     /// Requires per-thread counter virtualization
     /// ([`simcpu::Granularity::Thread`]); incompatible with multiplexing.
     pub fn attach(&mut self, id: EventSetId, thread: ThreadId) -> Result<()> {
-        let s = self.set_mut(id)?;
-        if s.state == SetState::Running {
-            return Err(PapiError::IsRun);
-        }
+        let s = self.edit_set(id)?;
         if s.multiplex {
             return Err(PapiError::Cnflct);
         }
@@ -209,11 +199,7 @@ impl<S: Substrate> Papi<S> {
 
     /// `PAPI_detach`.
     pub fn detach(&mut self, id: EventSetId) -> Result<()> {
-        let s = self.set_mut(id)?;
-        if s.state == SetState::Running {
-            return Err(PapiError::IsRun);
-        }
-        s.attached = None;
+        self.edit_set(id)?.attached = None;
         Ok(())
     }
 }

@@ -7,13 +7,23 @@
 //! apply: only one EventSet may run at a time (overlapping EventSets were
 //! removed "to reduce memory usage and runtime overhead").
 //!
+//! A set's first `start` compiles it: the resolved read plan, the counter
+//! assignment or multiplex partitions, the overflow routes and any
+//! widening state (the `Compiled` form in `dispatch.rs`). The session owns
+//! that form while the set runs; `stop` hands it back to the set, so a
+//! later `start` of the unchanged set only reprograms the hardware from
+//! it. Every stopped-state edit goes through `Papi::edit_set`, which
+//! discards the compiled form, so the next `start` compiles the set as it
+//! now stands.
+//!
 //! All data here is stopped-state configuration: it is only mutated inside
 //! the owning session's exclusive phase (the [`crate::SeqCell`] odd
 //! sequence stamp when the session lives in a
 //! [`crate::threads::ThreadedPapi`] table), so the lock-free read path
 //! never observes a half-edited set — the started snapshot lives in the
-//! runtime's `ReadPlan`, not here.
+//! session's running compiled form, not here.
 
+use crate::dispatch::Compiled;
 use simcpu::{Domain, ThreadId};
 
 /// Identifies an EventSet within a [`crate::Papi`] instance.
@@ -51,7 +61,6 @@ pub(crate) enum OvfRoute {
 }
 
 /// The stored (stopped-state) contents of an EventSet.
-#[derive(Debug)]
 pub(crate) struct EventSetData {
     pub events: Vec<u32>,
     pub domain: Domain,
@@ -64,6 +73,9 @@ pub(crate) struct EventSetData {
     pub attached: Option<ThreadId>,
     pub state: SetState,
     pub overflow: Vec<OverflowReg>,
+    /// The form the set's last `start` compiled, handed back by `stop`;
+    /// `None` before the first start and after any stopped-state edit.
+    pub compiled: Option<Compiled>,
 }
 
 impl EventSetData {
@@ -76,6 +88,7 @@ impl EventSetData {
             attached: None,
             state: SetState::Stopped,
             overflow: Vec::new(),
+            compiled: None,
         }
     }
 }
@@ -91,5 +104,6 @@ mod tests {
         assert_eq!(s.domain, Domain::USER);
         assert!(!s.multiplex);
         assert!(s.events.is_empty());
+        assert!(s.compiled.is_none());
     }
 }

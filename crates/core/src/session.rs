@@ -5,8 +5,8 @@
 //! [`crate::dispatch`] and its event/EventSet bookkeeping in
 //! [`crate::events`].
 
-use crate::alloc::{AllocCache, AllocModel};
-use crate::dispatch::{OvfHandler, ReadScratch, Running};
+use crate::alloc::AllocModel;
+use crate::dispatch::{Compiled, OvfHandler, ReadScratch};
 use crate::error::Result;
 use crate::eventset::EventSetData;
 use crate::highlevel;
@@ -29,7 +29,8 @@ pub struct Papi<S: Substrate = SimSubstrate> {
     // Declaration order does not fix their offsets: the struct is not
     // `repr(C)`, so rustc lays the fields out as it sees fit.
     pub(crate) sub: S,
-    pub(crate) running: Option<Running>,
+    /// The running set's compiled form (see `dispatch.rs`).
+    pub(crate) running: Option<Compiled>,
     /// Reusable hot-path buffers (native counts, multiplex estimates,
     /// staged values, programming table): the zero-allocation read path.
     pub(crate) scratch: ReadScratch,
@@ -49,8 +50,6 @@ pub struct Papi<S: Substrate = SimSubstrate> {
     /// The substrate's allocation-translation model, materialized once at
     /// init so start/partition paths never rebuild it per call.
     pub(crate) alloc_model: AllocModel,
-    /// Memoized allocator solutions keyed by native-code signature.
-    pub(crate) alloc_memo: AllocCache,
 }
 
 /// Default bound on transient-error retries per substrate operation.
@@ -111,7 +110,6 @@ impl<S: Substrate> Papi<S> {
             hl: None,
             obs: None,
             alloc_model,
-            alloc_memo: AllocCache::new(),
             scratch: ReadScratch::default(),
             retry_budget: DEFAULT_TRANSIENT_RETRY_BUDGET,
         })

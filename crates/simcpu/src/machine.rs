@@ -461,24 +461,33 @@ impl Machine {
 
     /// Program the full counter configuration (multiplex switch /
     /// EventSet start). `assign[i] = Some((code, domain))` or `None`.
+    ///
+    /// The image is checked before any counter changes, so a bad one
+    /// programs nothing. The PMU borrows each event descriptor from the
+    /// platform spec, so once warm this allocates nothing. Each
+    /// reprogrammed counter loses any overflow it raised but has not
+    /// delivered: the PMU drops its pending bit and the interrupt queue
+    /// its skid entry, as that interrupt belongs to the event counted
+    /// before.
     pub fn costed_program(&mut self, assign: &[Option<(u32, Domain)>]) -> Result<(), MachError> {
         self.kernel_crossing(self.spec.costs.program_cycles);
-        for (i, slot) in assign.iter().enumerate() {
-            if i >= self.pmu.num_counters() {
-                return Err(MachError::NoSuchCounter(i));
-            }
-            match slot {
-                Some((code, domain)) => {
-                    let ev = self
-                        .spec
-                        .event_by_code(*code)
-                        .cloned()
-                        .ok_or(MachError::NoSuchCounter(i))?;
-                    self.pmu.program(i, Some((&ev, *domain)));
-                }
-                None => self.pmu.program(i, None),
-            }
+        let n = self.pmu.num_counters();
+        if assign.len() > n {
+            return Err(MachError::NoSuchCounter(n));
         }
+        let spec = &self.spec;
+        if let Some(i) = assign
+            .iter()
+            .position(|slot| slot.is_some_and(|(code, _)| spec.event_by_code(code).is_none()))
+        {
+            return Err(MachError::NoSuchCounter(i));
+        }
+        self.pmu.program_image(
+            assign.iter().map(|slot| {
+                slot.and_then(|(code, domain)| Some((spec.event_by_code(code)?, domain)))
+            }),
+        );
+        self.pending.retain(|p| p.counter >= assign.len());
         Ok(())
     }
 

@@ -155,14 +155,6 @@ pub struct NativeEventDesc {
     pub group: Option<u32>,
 }
 
-/// Event programmed onto one physical counter.
-#[derive(Debug, Clone)]
-struct Programmed {
-    code: u32,
-    kinds: Vec<(EventKind, u32)>,
-    domain: Domain,
-}
-
 #[derive(Debug, Clone)]
 struct OverflowCfg {
     threshold: u64,
@@ -248,7 +240,9 @@ struct SamplingState {
 /// The PMU attached to a simulated core.
 #[derive(Debug, Clone)]
 pub struct Pmu {
-    counters: Vec<Option<Programmed>>,
+    /// Native event code programmed on each counter; its signals live in
+    /// `incr`.
+    codes: Vec<Option<u32>>,
     counts: Vec<u64>,
     overflow: Vec<Option<OverflowCfg>>,
     running: bool,
@@ -265,9 +259,10 @@ pub struct Pmu {
     /// `2^bits - 1`, precomputed (`u64::MAX` for 64-bit registers).
     mask: u64,
     /// Flat dispatch table: one `(kind, counter, mult, domain)` entry per
-    /// signal of every programmed counter, rebuilt by [`Pmu::program`].
-    /// [`Pmu::record`] and [`Pmu::record_user`] scan this contiguous list
-    /// instead of the per-slot `kinds` vectors.
+    /// signal of every programmed counter, ordered by counter and filled
+    /// straight from the borrowed event descriptors by [`Pmu::program`] and
+    /// [`Pmu::program_image`]. [`Pmu::record`] and [`Pmu::record_user`]
+    /// scan this contiguous list.
     incr: Vec<(EventKind, u32, u32, Domain)>,
 }
 
@@ -282,7 +277,7 @@ impl Pmu {
         assert!(num_counters > 0 && num_counters <= 32);
         assert!((1..=64).contains(&bits), "counter width out of range");
         Pmu {
-            counters: vec![None; num_counters],
+            codes: vec![None; num_counters],
             counts: vec![0; num_counters],
             overflow: vec![None; num_counters],
             running: false,
@@ -321,7 +316,7 @@ impl Pmu {
     }
 
     pub fn num_counters(&self) -> usize {
-        self.counters.len()
+        self.codes.len()
     }
 
     pub fn running(&self) -> bool {
@@ -329,41 +324,66 @@ impl Pmu {
     }
 
     /// Program counter `idx` with a native event in the given domain, or
-    /// clear it with `None`. Programming implicitly resets the count.
+    /// clear it with `None`. Programming implicitly resets the count and
+    /// drops an overflow the counter raised that the machine has not taken
+    /// yet: it belongs to the event counted before.
     pub fn program(&mut self, idx: usize, event: Option<(&NativeEventDesc, Domain)>) {
-        self.counters[idx] = event.map(|(e, d)| Programmed {
-            code: e.code,
-            kinds: e.kinds.clone(),
-            domain: d,
-        });
-        self.counts[idx] = 0;
-        if let Some(o) = &mut self.overflow[idx] {
-            o.next = o.threshold;
-        }
-        self.rebuild_incr();
+        self.incr.retain(|e| e.1 as usize != idx);
+        let at = self.incr.partition_point(|e| (e.1 as usize) < idx);
+        self.load(idx, event, at);
         // Any saved per-thread context now describes different events.
         self.epoch += 1;
     }
 
-    /// Rebuild the flat `record` dispatch table from the programmed slots.
-    fn rebuild_incr(&mut self) {
-        self.incr.clear();
-        for (i, slot) in self.counters.iter().enumerate() {
-            let Some(p) = slot else { continue };
-            for &(k, mult) in &p.kinds {
-                self.incr.push((k, i as u32, mult, p.domain));
-            }
+    /// Program counters `0..image.len()` at once, slot `i` onto counter
+    /// `i` (`None` clears it); counters past the image keep their events.
+    /// The same result as [`Pmu::program`] slot by slot, with the dispatch
+    /// table refilled in one pass: once warm, allocation-free.
+    pub fn program_image<'a>(
+        &mut self,
+        image: impl ExactSizeIterator<Item = Option<(&'a NativeEventDesc, Domain)>>,
+    ) {
+        let n = image.len();
+        self.incr.retain(|e| e.1 as usize >= n);
+        let mut at = 0;
+        for (idx, event) in image.enumerate() {
+            at = self.load(idx, event, at);
         }
+        self.epoch += 1;
     }
 
-    /// Current programming epoch (bumped by every [`Pmu::program`] call).
+    /// Load `event` onto counter `idx`, inserting its signals into `incr`
+    /// from position `at` on; returns the position after them.
+    fn load(
+        &mut self,
+        idx: usize,
+        event: Option<(&NativeEventDesc, Domain)>,
+        mut at: usize,
+    ) -> usize {
+        self.codes[idx] = event.map(|(e, _)| e.code);
+        if let Some((e, domain)) = event {
+            for &(k, mult) in &e.kinds {
+                self.incr.insert(at, (k, idx as u32, mult, domain));
+                at += 1;
+            }
+        }
+        self.counts[idx] = 0;
+        if let Some(o) = &mut self.overflow[idx] {
+            o.next = o.threshold;
+        }
+        self.pending_overflow &= !(1 << idx);
+        at
+    }
+
+    /// Current programming epoch (bumped by every [`Pmu::program`] and
+    /// [`Pmu::program_image`] call).
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
     /// Code programmed on counter `idx`, if any.
     pub fn programmed_code(&self, idx: usize) -> Option<u32> {
-        self.counters[idx].as_ref().map(|p| p.code)
+        self.codes[idx]
     }
 
     pub fn start(&mut self) {
@@ -660,6 +680,37 @@ mod tests {
         p.record(EventKind::Cycles, 7, true);
         assert_eq!(p.read(0), 10);
         assert_eq!(p.read(1), 17);
+    }
+
+    #[test]
+    fn program_image_matches_programming_slot_by_slot() {
+        // Counter 2 lies past the image and keeps its event; counter 0's
+        // pending overflow goes with the event that raised it.
+        let fp = ev(vec![(EventKind::FpAdd, 1), (EventKind::FpFma, 2)]);
+        let cyc = ev(vec![(EventKind::Cycles, 1)]);
+        let ld = ev(vec![(EventKind::Loads, 1)]);
+        let (mut slots, mut image) = (Pmu::new(3), Pmu::new(3));
+        for p in [&mut slots, &mut image] {
+            p.program(2, Some((&ld, Domain::ALL)));
+            p.program(0, Some((&cyc, Domain::ALL)));
+            p.set_overflow(0, Some(10));
+            p.start();
+            p.record(EventKind::Cycles, 10, false);
+        }
+        slots.program(0, Some((&fp, Domain::USER)));
+        slots.program(1, Some((&cyc, Domain::KERNEL)));
+        image.program_image([Some((&fp, Domain::USER)), Some((&cyc, Domain::KERNEL))].into_iter());
+        for p in [&mut slots, &mut image] {
+            assert_eq!(p.take_overflows(), 0);
+            p.record(EventKind::FpFma, 3, false);
+            p.record(EventKind::Cycles, 5, true);
+            p.record(EventKind::Loads, 4, false);
+        }
+        for i in 0..3 {
+            assert_eq!(slots.read(i), image.read(i), "counter {i}");
+            assert_eq!(slots.programmed_code(i), image.programmed_code(i));
+        }
+        assert_eq!((image.read(0), image.read(1), image.read(2)), (6, 5, 4));
     }
 
     #[test]

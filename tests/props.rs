@@ -783,6 +783,171 @@ fn accum_equals_read_into_plus_reset_under_replay() {
     }
 }
 
+/// A restarted set counts exactly like a freshly compiled one. Over random
+/// sequences of start, stop, read, accum, application time and
+/// stopped-state edits (`add_event`, `remove_event`, `set_domain`,
+/// `set_multiplex`, `overflow`), one session restarts its set while its
+/// twin destroys and rebuilds the set from the same definition before
+/// every start, which forces a compile. Every result, value, overflow
+/// delivery and the virtual clock agree bit for bit, on mask- and
+/// group-allocated platforms, with multiplexing on and off.
+#[test]
+fn restarting_a_set_counts_like_compiling_it_afresh() {
+    use papi_suite::papi::OvfHandler;
+    use simcpu::Domain;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    const POOL: [Preset; 7] = [
+        Preset::TotCyc,
+        Preset::TotIns,
+        Preset::LdIns,
+        Preset::SrIns,
+        Preset::L1Dcm,
+        Preset::BrIns,
+        Preset::FpIns,
+    ];
+    const DOMAINS: [Domain; 3] = [Domain::USER, Domain::KERNEL, Domain::ALL];
+    /// The definition both sessions' sets hold.
+    #[derive(Default)]
+    struct Def {
+        events: Vec<u32>,
+        domain: Option<Domain>,
+        multiplex: bool,
+        overflow: Vec<(u32, u64)>,
+    }
+    let counter = |fired: &Arc<AtomicU64>| -> OvfHandler {
+        let fired = fired.clone();
+        Box::new(move |_| {
+            fired.fetch_add(1, Ordering::Relaxed);
+        })
+    };
+    // A new set holding `def`: the twin's way to force a compile.
+    let build = |p: &mut Papi<SimSubstrate>, def: &Def, fired: &Arc<AtomicU64>| {
+        let set = p.create_eventset();
+        for &e in &def.events {
+            p.add_event(set, e).unwrap();
+        }
+        if let Some(d) = def.domain {
+            p.set_domain(set, d).unwrap();
+        }
+        if def.multiplex {
+            p.set_multiplex(set).unwrap();
+        }
+        for &(code, threshold) in &def.overflow {
+            p.overflow(set, code, threshold, counter(fired)).unwrap();
+        }
+        set
+    };
+    let mut rng = SmallRng::seed_from_u64(0x1013);
+    for case in 0..36 {
+        let spec = match case % 3 {
+            0 => simcpu::platform::sim_x86(),
+            1 => simcpu::platform::sim_generic(),
+            _ => simcpu::platform::sim_power3(),
+        };
+        let mpx = case % 6 >= 3;
+        let machine_seed = rng.gen_range(0u64..2000);
+        // A matrix multiply (loads, stores, FP, branches, misses) that
+        // outlives the sequence.
+        let open = || {
+            let mut m = Machine::new(spec.clone(), machine_seed);
+            m.load(papi_suite::workloads::matmul(64).program);
+            Papi::init(SimSubstrate::new(m)).unwrap()
+        };
+        let (mut a, mut b) = (open(), open());
+        let (fired_a, fired_b) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let mut def = Def {
+            events: vec![Preset::TotCyc.code()],
+            multiplex: mpx,
+            ..Def::default()
+        };
+        let set_a = build(&mut a, &def, &fired_a);
+        let mut set_b = build(&mut b, &def, &fired_b);
+        let mut running = false;
+        for step in 0..60 {
+            let ctx = format!("case {case} step {step} (mpx={mpx}, machine_seed={machine_seed})");
+            // Half the picks name an event already in the set.
+            let pick = match def.events.len() {
+                n if n > 0 && rng.gen_bool(0.5) => def.events[rng.gen_range(0..n)],
+                _ => POOL[rng.gen_range(0..POOL.len())].code(),
+            };
+            match rng.gen_range(0u32..20) {
+                0..=2 => {
+                    if !running {
+                        b.destroy_eventset(set_b).unwrap();
+                        set_b = build(&mut b, &def, &fired_b);
+                    }
+                    let r = a.start(set_a);
+                    assert_eq!(r, b.start(set_b), "{ctx}: start");
+                    running |= r.is_ok();
+                }
+                3..=5 => {
+                    let r = a.stop(set_a);
+                    assert_eq!(r, b.stop(set_b), "{ctx}: stop");
+                    running &= r.is_err();
+                }
+                6 => assert_eq!(a.read(set_a), b.read(set_b), "{ctx}: read"),
+                7 | 8 => {
+                    let n = def.events.len();
+                    let (mut va, mut vb) = (vec![0i64; n], vec![0i64; n]);
+                    let r = a.accum(set_a, &mut va);
+                    assert_eq!(r, b.accum(set_b, &mut vb), "{ctx}: accum");
+                    assert_eq!(va, vb, "{ctx}: accum");
+                }
+                9..=13 => {
+                    let budget = rng.gen_range(1_000u64..30_000);
+                    assert_eq!(a.run_for(budget), b.run_for(budget), "{ctx}: run_for");
+                }
+                14 | 15 => {
+                    let r = a.add_event(set_a, pick);
+                    assert_eq!(r, b.add_event(set_b, pick), "{ctx}: add_event");
+                    if r.is_ok() {
+                        def.events.push(pick);
+                    }
+                }
+                16 => {
+                    let r = a.remove_event(set_a, pick);
+                    assert_eq!(r, b.remove_event(set_b, pick), "{ctx}: remove_event");
+                    if r.is_ok() {
+                        def.events.retain(|&e| e != pick);
+                        def.overflow.retain(|&(e, _)| e != pick);
+                    }
+                }
+                17 => {
+                    if mpx && rng.gen_bool(0.5) {
+                        let r = a.set_multiplex(set_a);
+                        assert_eq!(r, b.set_multiplex(set_b), "{ctx}: set_multiplex");
+                        def.multiplex |= r.is_ok();
+                    } else {
+                        let d = DOMAINS[rng.gen_range(0..DOMAINS.len())];
+                        let r = a.set_domain(set_a, d);
+                        assert_eq!(r, b.set_domain(set_b, d), "{ctx}: set_domain");
+                        if r.is_ok() {
+                            def.domain = Some(d);
+                        }
+                    }
+                }
+                _ => {
+                    let threshold = rng.gen_range(500u64..5_000);
+                    let r = a.overflow(set_a, pick, threshold, counter(&fired_a));
+                    let rb = b.overflow(set_b, pick, threshold, counter(&fired_b));
+                    assert_eq!(r, rb, "{ctx}: overflow");
+                    if r.is_ok() {
+                        def.overflow.push((pick, threshold));
+                    }
+                }
+            }
+            assert_eq!(a.get_real_cyc(), b.get_real_cyc(), "{ctx}: virtual clock");
+            assert_eq!(
+                fired_a.load(Ordering::Relaxed),
+                fired_b.load(Ordering::Relaxed),
+                "{ctx}: overflow deliveries"
+            );
+        }
+    }
+}
+
 #[test]
 fn end_to_end_determinism() {
     let mut rng = SmallRng::seed_from_u64(0x1010);
