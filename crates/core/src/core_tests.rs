@@ -970,15 +970,18 @@ fn remove_event_before_a_restart_is_not_counted() {
 
 #[test]
 fn set_multiplex_before_a_restart_is_checked_against_attach() {
-    // Multiplexing and attach exclude each other; the conflict surfaces
-    // at the next start, which must see the set as it now stands.
+    // Multiplexing and attach exclude each other, so `set_multiplex`
+    // refuses an attached set at the call, and the set restarts attached.
     let mut p = two_thread_papi();
     let set = p.create_eventset();
     p.add_event(set, Preset::FmaIns.code()).unwrap();
     p.attach(set, 0).unwrap();
     start_and_stop(&mut p, set);
+    assert!(matches!(p.set_multiplex(set), Err(PapiError::Cnflct)));
+    start_and_stop(&mut p, set);
+    p.detach(set).unwrap();
     p.set_multiplex(set).unwrap();
-    assert!(matches!(p.start(set), Err(PapiError::Cnflct)));
+    assert!(matches!(p.attach(set, 0), Err(PapiError::Cnflct)));
 }
 
 #[test]

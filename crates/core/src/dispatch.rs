@@ -597,11 +597,9 @@ impl<S: Substrate> Papi<S> {
     fn compile(&mut self, id: EventSetId) -> Result<Compiled> {
         let plan = self.resolve_set(id)?;
         let s = self.set_ref(id)?;
+        // `attach` and `set_multiplex` each refuse a set the other marked.
         let (domain, multiplex, mpx_period, attached) =
             (s.domain, s.multiplex, s.mpx_period, s.attached);
-        if attached.is_some() && multiplex {
-            return Err(PapiError::Cnflct);
-        }
         let mode = match self.allocate(&plan.natives) {
             Some(assign) => RunMode::Direct { assign },
             None if multiplex => {

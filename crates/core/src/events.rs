@@ -160,7 +160,7 @@ impl<S: Substrate> Papi<S> {
     /// [`crate::multiplex`].
     pub fn set_multiplex(&mut self, id: EventSetId) -> Result<()> {
         let s = self.edit_set(id)?;
-        if !s.overflow.is_empty() {
+        if !s.overflow.is_empty() || s.attached.is_some() {
             return Err(PapiError::Cnflct);
         }
         s.multiplex = true;

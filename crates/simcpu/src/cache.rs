@@ -113,16 +113,16 @@ impl Cache {
         hit
     }
 
-    /// Count an access to `addr` whose line is already the MRU way of its
-    /// set: the hit that [`Cache::access`] would report, which moves
+    /// Count `n` accesses to `addr`, whose line is already the MRU way of
+    /// its set: the hits that [`Cache::access`] would report, which move
     /// nothing, without the lookup. Debug builds check the precondition.
-    pub(crate) fn access_mru(&mut self, addr: u64) {
+    pub(crate) fn access_mru(&mut self, addr: u64, n: u64) {
         let (si, tag) = self.set_and_tag(addr);
         debug_assert!(
             self.len[si] > 0 && self.tags[si * self.assoc] == tag,
             "{addr:#x} is not the MRU line of its set"
         );
-        self.accesses += 1;
+        self.accesses += n;
     }
 
     /// Install a line without touching access/miss statistics — the path a

@@ -14,17 +14,33 @@
 //!
 //! # When the PMU sees user-mode signals
 //!
-//! A retired instruction adds its signals to a per-kind array, and the
-//! array reaches the PMU in one [`Pmu::record_user`] call. While an overflow
-//! threshold is armed or ground truth is recorded, that call happens after
-//! every instruction. Otherwise it happens only where counts can be
-//! observed or charged: before [`Machine::run`] returns, before
-//! [`Machine::consume_kernel`] charges kernel cycles, and before a context
-//! switch saves the outgoing thread's counters. Blocked time
-//! (`MsgBlockCycles`) joins the same array. So **outside `run()` the PMU is
-//! always current**, and a batch gives the same registers as per-instruction
-//! recording: counts are sums, register wrap is modular, and thresholds are
-//! live only on the per-instruction path.
+//! A retired instruction adds each signal to a per-kind array where it
+//! raises it, and the array reaches the PMU in one [`Pmu::record_user`]
+//! call. While an overflow threshold is armed or ground truth is recorded,
+//! that call happens after every instruction. Otherwise it happens only
+//! where counts can be observed or charged: before [`Machine::run`]
+//! returns, before [`Machine::consume_kernel`] charges kernel cycles, and
+//! before a context switch saves the outgoing thread's counters. Blocked
+//! time (`MsgBlockCycles`) joins the same array. So **outside `run()` the
+//! PMU is always current**, and a batch gives the same registers as
+//! per-instruction recording: counts are sums, register wrap is modular,
+//! and thresholds are live only on the per-instruction path.
+//!
+//! # Pure runs retire in one step
+//!
+//! A pure instruction (arithmetic or `Nop`, see `pure_op`) touches
+//! nothing but its fetch, its signals and the clocks, so what a run of
+//! them does is known at [`Machine::load`]: each thread keeps, for every
+//! pure instruction, the run of pure instructions that starts there and
+//! stays inside one fetch block (see `Machine::fetch_block`). `step`
+//! retires such a run at once when nothing watches single instructions
+//! (no armed threshold, truth, sampling, pending overflow or queued skid,
+//! decided once per `run()` call), the fetch memo holds the run's block,
+//! and the run ends by the deadline and the end of the quantum and
+//! strictly before the next timer tick. The batch adds what stepping
+//! would: MRU hits in the L1I and the I-TLB, the signals, the cycles and
+//! the retired count. Everything else steps one instruction at a time,
+//! which is the reference the batch is tested against.
 
 use crate::branch::BranchPredictor;
 use crate::cache::Cache;
@@ -157,9 +173,45 @@ impl Hasher for IntHasher {
 
 type IntHash = BuildHasherDefault<IntHasher>;
 
+/// Arithmetic kinds, `IntOps` through `FpCvt`, as [`PureRun::kinds`]
+/// indexes them.
+const ARITH: usize = EventKind::IntOps as usize;
+const ARITH_KINDS: usize = EventKind::FpCvt as usize + 1 - ARITH;
+
+/// The signal kind (none for `Nop`) and the cycles of a pure instruction,
+/// one that raises no signal but its own kind, its fetch and its cycles;
+/// `None` for any other. The single step and the run table both take a
+/// pure instruction's effect from here.
+fn pure_op(inst: Inst, div_latency: u32) -> Option<(Option<EventKind>, u64)> {
+    Some(match inst {
+        Inst::Int => (Some(EventKind::IntOps), 1),
+        Inst::FAdd => (Some(EventKind::FpAdd), 1),
+        Inst::FMul => (Some(EventKind::FpMul), 1),
+        Inst::FFma => (Some(EventKind::FpFma), 1),
+        Inst::FDiv => (Some(EventKind::FpDiv), 1 + div_latency as u64),
+        Inst::FCvt => (Some(EventKind::FpCvt), 1),
+        Inst::Nop => (None, 1),
+        _ => return None,
+    })
+}
+
+/// The pure instructions from one index to the last that follows it
+/// inside its fetch block (empty where the instruction is not pure):
+/// what retiring them all adds. A block holds at most `PAGE_SIZE / 4`
+/// instructions, so the counts fit a `u16`.
+#[derive(Debug, Clone, Copy, Default)]
+struct PureRun {
+    len: u16,
+    /// Instructions of each arithmetic kind, from [`ARITH`].
+    kinds: [u16; ARITH_KINDS],
+    cycles: u64,
+}
+
 #[derive(Debug)]
 struct Thread {
     program: Program,
+    /// The pure run starting at each instruction.
+    runs: Vec<PureRun>,
     pc: usize,
     stack: Vec<usize>,
     state: Vec<InstState>,
@@ -258,7 +310,9 @@ pub struct Machine {
     /// MRU way of its L1I set and its page the I-TLB's MRU entry. Only a
     /// fetch or a TLB flush changes either structure (kernel crossings
     /// pollute the L1D, the prefetcher fills the L1D and the L2), so a
-    /// fetch from the same block is an MRU hit in both that moves nothing.
+    /// fetch from the same block is an MRU hit in both that moves nothing,
+    /// and so is every fetch of a pure run inside it: a batch counts them
+    /// without a lookup.
     fetch_block: u64,
     /// log2 of the smaller of the L1I line and the page, so a block lies
     /// inside one line and one page even where a line spans pages.
@@ -272,6 +326,14 @@ fn kinds_in(mut mask: u32) -> impl Iterator<Item = usize> {
         mask &= mask.wrapping_sub(1);
         (k < 32).then_some(k)
     })
+}
+
+/// Count one `kind` signal where it is raised, and note its kind in `mask`
+/// for truth and sampling.
+#[inline(always)]
+fn raise(unflushed: &mut [u64; NUM_EVENT_KINDS], mask: &mut u32, kind: EventKind) {
+    *mask |= kind.bit();
+    unflushed[kind as usize] += 1;
 }
 
 impl Machine {
@@ -328,9 +390,11 @@ impl Machine {
     /// Load a program as a new thread; returns its id.
     pub fn load(&mut self, program: Program) -> ThreadId {
         let state = vec![InstState::FRESH; program.insts.len()];
+        let runs = self.pure_runs(&program.insts);
         let pc = program.entry;
         self.threads.push(Thread {
             program,
+            runs,
             pc,
             stack: Vec::new(),
             state,
@@ -343,6 +407,30 @@ impl Machine {
             pmu_ctx: PmuContext::default(),
         });
         (self.threads.len() - 1) as ThreadId
+    }
+
+    /// The pure run starting at each of `insts`, built back to front: a
+    /// pure instruction extends the run after it when both lie in one
+    /// fetch block.
+    fn pure_runs(&self, insts: &[Inst]) -> Vec<PureRun> {
+        let block = |i: usize| Program::pc_of(i) >> self.fetch_shift;
+        let mut runs = vec![PureRun::default(); insts.len()];
+        for i in (0..insts.len()).rev() {
+            let Some((kind, cycles)) = pure_op(insts[i], self.spec.pipeline.div_latency) else {
+                continue;
+            };
+            let mut run = match runs.get(i + 1) {
+                Some(&next) if block(i + 1) == block(i) => next,
+                _ => PureRun::default(),
+            };
+            run.len += 1;
+            run.cycles += cycles;
+            if let Some(k) = kind {
+                run.kinds[k as usize - ARITH] += 1;
+            }
+            runs[i] = run;
+        }
+        runs
     }
 
     pub fn num_threads(&self) -> usize {
@@ -394,6 +482,19 @@ impl Machine {
     /// Total retired instructions.
     pub fn retired(&self) -> u64 {
         self.retired
+    }
+
+    /// `(accesses, misses)` of the L1I, the I-TLB, the L1D, the D-TLB and
+    /// the L2, in that order, as each structure counts them. Prefetch
+    /// fills and pollution count nothing.
+    pub fn cache_stats(&self) -> [(u64, u64); 5] {
+        [
+            (self.l1i.accesses(), self.l1i.misses()),
+            (self.itlb.accesses(), self.itlb.misses()),
+            (self.l1d.accesses(), self.l1d.misses()),
+            (self.dtlb.accesses(), self.dtlb.misses()),
+            (self.l2.accesses(), self.l2.misses()),
+        ]
     }
 
     /// Wall-clock nanoseconds since machine start.
@@ -608,21 +709,28 @@ impl Machine {
         // Armed thresholds and truth histograms must see every instruction.
         let armed = self.pmu.overflow_armed();
         let per_inst = armed || self.truth.is_some();
-        // Whether a sample, an overflow or a timer tick can end the run
-        // after an instruction retires. This holds for the whole call:
-        // sampling, the timer and thresholds change only between calls,
-        // only an armed counter raises an overflow, and only a raised
-        // overflow queues a skid.
-        let events = armed
+        // Whether a sample or an overflow can end the run after an
+        // instruction retires. This holds for the whole call: sampling and
+        // thresholds change only between calls, only an armed counter
+        // raises an overflow, and only a raised overflow queues a skid.
+        let watched = armed
             || self.pmu.overflow_pending()
             || !self.pending.is_empty()
-            || self.pmu.sampling_enabled()
-            || self.timer.is_some();
+            || self.pmu.sampling_enabled();
+        let events = watched || self.timer.is_some();
+        // The cycle a pure run may end at to retire in one step: by the
+        // deadline and before the next tick, which ends the call, so the
+        // bound holds for the whole call. `None` while anything watches
+        // single instructions.
+        let batch_end = (!per_inst && !watched).then(|| {
+            let tick = self.timer.map_or(u64::MAX, |t| t.next - 1);
+            deadline.min(tick)
+        });
         let exit = loop {
             if self.cycles >= deadline {
                 break RunExit::CycleLimit;
             }
-            if let Some(exit) = self.step(per_inst, events) {
+            if let Some(exit) = self.step(per_inst, events, batch_end) {
                 break exit;
             }
         };
@@ -735,12 +843,38 @@ impl Machine {
         }
     }
 
-    /// Execute one instruction of the current thread. Returns an exit if
+    /// Retire the pure run `run` of the current thread, from instruction
+    /// `idx`, in one step: exactly what stepping through it adds. Every
+    /// fetch is an MRU hit in the block the memo holds, which the run
+    /// never leaves.
+    #[inline]
+    fn retire_run(&mut self, idx: usize, run: PureRun) {
+        let n = run.len as u64;
+        let last = Program::pc_of(idx + run.len as usize - 1);
+        self.itlb.access_mru(last, n);
+        self.l1i.access_mru(last, n);
+        let u = &mut self.unflushed;
+        u[EventKind::L1IAccess as usize] += n;
+        u[EventKind::Instructions as usize] += n;
+        for (u, &k) in u[ARITH..ARITH + ARITH_KINDS].iter_mut().zip(&run.kinds) {
+            *u += k as u64;
+        }
+        u[EventKind::Cycles as usize] += run.cycles;
+        self.signals_pending = true;
+        let th = &mut self.threads[self.current];
+        th.pc = idx + run.len as usize;
+        th.user_cycles += run.cycles;
+        self.cycles += run.cycles;
+        self.retired += n;
+    }
+
+    /// Execute one instruction of the current thread, or with `batch_end`
+    /// the pure run it starts (see the module docs). Returns an exit if
     /// one must be delivered to software. The instruction's signals go to
     /// `unflushed`; with `per_inst` they reach the PMU (and the truth
     /// histograms) before this returns. Without `events` no sample,
     /// overflow or timer tick can be due, and their checks are skipped.
-    fn step(&mut self, per_inst: bool, events: bool) -> Option<RunExit> {
+    fn step(&mut self, per_inst: bool, events: bool, batch_end: Option<u64>) -> Option<RunExit> {
         // The running thread keeps the core until its quantum ends.
         let stays = self.cycles < self.quantum_next
             && self.threads.get(self.current).is_some_and(Self::runnable);
@@ -766,6 +900,17 @@ impl Machine {
         let idx = self.threads[cur].pc;
         let inst = self.threads[cur].program.insts[idx];
         let pc = Program::pc_of(idx);
+
+        if let Some(end) = batch_end {
+            let run = self.threads[cur].runs[idx];
+            if run.len > 0
+                && pc >> self.fetch_shift == self.fetch_block
+                && self.cycles + run.cycles <= end.min(self.quantum_next)
+            {
+                self.retire_run(idx, run);
+                return None;
+            }
+        }
 
         // --- probes trap before costing anything ---
         if let Inst::Probe { id } = inst {
@@ -795,51 +940,58 @@ impl Machine {
         }
 
         // Apart from the stall and cycle counts, every signal an
-        // instruction raises is one occurrence of its kind: a bit in
-        // `fetched` or `executed` (L2 accesses and misses can occur in
-        // both).
+        // instruction raises is one occurrence of its kind, counted where
+        // it is raised; `kind_mask` notes the kinds for truth and sampling.
         let mem = self.spec.mem;
         let mut mem_stall: u64 = 0;
+        let u = &mut self.unflushed;
+        let mut kind_mask = 0;
 
         // --- fetch ---
-        let mut fetched = EventKind::L1IAccess.bit();
+        raise(u, &mut kind_mask, EventKind::L1IAccess);
         let block = pc >> self.fetch_shift;
         if block == self.fetch_block {
             // See `fetch_block`: two MRU hits, only their counts move.
-            self.itlb.access_mru(pc);
-            self.l1i.access_mru(pc);
+            self.itlb.access_mru(pc, 1);
+            self.l1i.access_mru(pc, 1);
         } else {
             self.fetch_block = block;
             if !self.itlb.access(pc) {
-                fetched |= EventKind::ItlbMiss.bit();
+                raise(u, &mut kind_mask, EventKind::ItlbMiss);
                 mem_stall += mem.tlb_walk as u64;
             }
             if !self.l1i.access(pc) {
-                fetched |= EventKind::L1IMiss.bit() | EventKind::L2Access.bit();
+                raise(u, &mut kind_mask, EventKind::L1IMiss);
+                raise(u, &mut kind_mask, EventKind::L2Access);
                 if self.l2.access(pc) {
                     mem_stall += mem.l2_lat as u64;
                 } else {
-                    fetched |= EventKind::L2Miss.bit();
+                    raise(u, &mut kind_mask, EventKind::L2Miss);
                     mem_stall += mem.l2_lat as u64 + mem.mem_lat as u64;
                 }
             }
         }
 
         // --- execute ---
-        let mut executed = EventKind::Instructions.bit();
+        raise(u, &mut kind_mask, EventKind::Instructions);
         let mut cost: u64 = 1;
         let mut daddr: Option<u64> = None;
         let mut next_pc = idx + 1;
         match inst {
-            Inst::Int => executed |= EventKind::IntOps.bit(),
-            Inst::FAdd => executed |= EventKind::FpAdd.bit(),
-            Inst::FMul => executed |= EventKind::FpMul.bit(),
-            Inst::FFma => executed |= EventKind::FpFma.bit(),
-            Inst::FDiv => {
-                executed |= EventKind::FpDiv.bit();
-                cost += self.spec.pipeline.div_latency as u64;
+            Inst::Int
+            | Inst::FAdd
+            | Inst::FMul
+            | Inst::FFma
+            | Inst::FDiv
+            | Inst::FCvt
+            | Inst::Nop => {
+                let (kind, cycles) =
+                    pure_op(inst, self.spec.pipeline.div_latency).expect("a pure instruction");
+                if let Some(k) = kind {
+                    raise(u, &mut kind_mask, k);
+                }
+                cost = cycles;
             }
-            Inst::FCvt => executed |= EventKind::FpCvt.bit(),
             Inst::Load(gen) | Inst::Store(gen) => {
                 let is_load = matches!(inst, Inst::Load(_));
                 let rand_word: u64 = self.app_rng.gen();
@@ -854,22 +1006,23 @@ impl Machine {
                     }
                 }
                 daddr = Some(addr);
-                executed |= if is_load {
-                    EventKind::Loads.bit()
+                if is_load {
+                    raise(u, &mut kind_mask, EventKind::Loads);
                 } else {
-                    EventKind::Stores.bit()
-                };
+                    raise(u, &mut kind_mask, EventKind::Stores);
+                }
                 if !self.dtlb.access(addr) {
-                    executed |= EventKind::DtlbMiss.bit();
+                    raise(u, &mut kind_mask, EventKind::DtlbMiss);
                     mem_stall += mem.tlb_walk as u64;
                 }
-                executed |= EventKind::L1DAccess.bit();
+                raise(u, &mut kind_mask, EventKind::L1DAccess);
                 if !self.l1d.access(addr) {
-                    executed |= EventKind::L1DMiss.bit() | EventKind::L2Access.bit();
+                    raise(u, &mut kind_mask, EventKind::L1DMiss);
+                    raise(u, &mut kind_mask, EventKind::L2Access);
                     let penalty = if self.l2.access(addr) {
                         mem.l2_lat as u64
                     } else {
-                        executed |= EventKind::L2Miss.bit();
+                        raise(u, &mut kind_mask, EventKind::L2Miss);
                         mem.l2_lat as u64 + mem.mem_lat as u64
                     };
                     // Stores drain through the write buffer: half the visible
@@ -887,13 +1040,13 @@ impl Machine {
                 let rand_byte: u8 = self.app_rng.gen();
                 let st = &mut self.threads[cur].state[idx];
                 let taken = pat.outcome(&mut st.ctr, rand_byte);
-                executed |= EventKind::Branches.bit();
+                raise(u, &mut kind_mask, EventKind::Branches);
                 if taken {
-                    executed |= EventKind::BranchTaken.bit();
+                    raise(u, &mut kind_mask, EventKind::BranchTaken);
                     next_pc = target as usize;
                 }
                 if self.bp.predict_and_update(pc, taken) {
-                    executed |= EventKind::BranchMispred.bit();
+                    raise(u, &mut kind_mask, EventKind::BranchMispred);
                     cost += self.spec.pipeline.mispredict_penalty as u64;
                 }
             }
@@ -905,7 +1058,11 @@ impl Machine {
             Inst::Ret => match self.threads[cur].stack.pop() {
                 Some(ra) => next_pc = ra,
                 None => {
-                    // Returning from the entry function retires nothing.
+                    // Returning from the entry function retires nothing:
+                    // its fetch stays done, its signals are taken back.
+                    for k in kinds_in(kind_mask) {
+                        u[k] -= 1;
+                    }
                     self.threads[cur].halted = true;
                     if self.all_halted() {
                         return Some(RunExit::Halted);
@@ -913,10 +1070,9 @@ impl Machine {
                     return None;
                 }
             },
-            Inst::Nop => {}
             Inst::Send { chan } => {
                 *self.channels.entry(chan).or_insert(0) += 1;
-                executed |= EventKind::MsgSend.bit();
+                raise(u, &mut kind_mask, EventKind::MsgSend);
                 self.wake_blocked(chan);
             }
             Inst::Recv { chan } => {
@@ -925,7 +1081,7 @@ impl Machine {
                     .get_mut(&chan)
                     .expect("checked non-empty above");
                 *tokens -= 1;
-                executed |= EventKind::MsgRecv.bit();
+                raise(u, &mut kind_mask, EventKind::MsgRecv);
             }
             Inst::Probe { .. } | Inst::Halt => unreachable!("handled above"),
         }
@@ -935,13 +1091,7 @@ impl Machine {
         cost += visible_stall;
 
         // --- commit ---
-        let mut kind_mask = fetched | executed | EventKind::Cycles.bit();
-        for k in kinds_in(fetched) {
-            self.unflushed[k] += 1;
-        }
-        for k in kinds_in(executed) {
-            self.unflushed[k] += 1;
-        }
+        kind_mask |= EventKind::Cycles.bit();
         if visible_stall > 0 {
             kind_mask |= EventKind::StallCycles.bit();
             self.unflushed[EventKind::StallCycles as usize] += visible_stall;
@@ -1042,6 +1192,7 @@ mod tests {
     use super::*;
     use crate::isa::{AddrGen, BranchPat};
     use crate::platform::{sim_generic, sim_ia64, sim_t3e, sim_x86};
+    use crate::pmu::NativeEventDesc;
     use crate::program::ProgramBuilder;
 
     fn fp_program(iters: u32, fmas_per_iter: usize) -> Program {
@@ -1784,6 +1935,47 @@ mod tests {
         m.pmu_mut().start();
         m.run_to_halt();
         assert_eq!(m.pmu().read(0), 1, "a hot lock word misses exactly once");
+    }
+
+    #[test]
+    fn returning_from_the_entry_function_retires_nothing() {
+        // Without `_start` the thread halts by returning from its entry
+        // function. That `Ret` is fetched from a line of its own, so the
+        // L1I counts its access and its miss, but no counter sees either.
+        let mut b = ProgramBuilder::new();
+        b.func("main", |f| {
+            f.nop(16);
+        });
+        let mut prog = b.build("main");
+        prog.entry = prog.symbol("main").unwrap().start;
+        let mut m = machine_with(prog);
+        let kinds = [
+            EventKind::Instructions,
+            EventKind::L1IAccess,
+            EventKind::L1IMiss,
+            EventKind::L2Access,
+        ];
+        let events: Vec<NativeEventDesc> = kinds
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| NativeEventDesc {
+                code: 0x4000_0100 + i as u32,
+                name: "ONE_KIND",
+                descr: "one machine signal",
+                kinds: vec![(k, 1)],
+                counter_mask: u32::MAX,
+                group: None,
+            })
+            .collect();
+        for (i, ev) in events.iter().enumerate() {
+            m.pmu_mut().program(i, Some((ev, Domain::ALL)));
+        }
+        m.pmu_mut().start();
+        m.run_to_halt();
+        assert_eq!(m.retired(), 16);
+        assert_eq!(m.cache_stats()[0], (17, 2), "L1I accesses and misses");
+        let counts: Vec<u64> = (0..4).map(|c| m.pmu().read(c)).collect();
+        assert_eq!(counts, [16, 16, 1, 1]);
     }
 
     #[test]

@@ -51,15 +51,15 @@ impl Tlb {
         }
     }
 
-    /// Count a translation of `addr` whose page is already the MRU entry:
-    /// the hit that [`Tlb::access`] would report, which moves nothing,
-    /// without the lookup. Debug builds check the precondition.
-    pub(crate) fn access_mru(&mut self, addr: u64) {
+    /// Count `n` translations of `addr`, whose page is already the MRU
+    /// entry: the hits that [`Tlb::access`] would report, which move
+    /// nothing, without the lookup. Debug builds check the precondition.
+    pub(crate) fn access_mru(&mut self, addr: u64, n: u64) {
         debug_assert!(
             self.pages.first() == Some(&(addr / PAGE_SIZE)),
             "{addr:#x} is not on the MRU page"
         );
-        self.accesses += 1;
+        self.accesses += n;
     }
 
     pub fn accesses(&self) -> u64 {

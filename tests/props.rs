@@ -9,7 +9,7 @@ use papi_suite::papi::alloc::{
     allocate_in_group, allocate_with, greedy_first_fit, max_cardinality_assign, max_weight_assign,
     optimal_assign, AllocStats, GroupModel, MaskModel,
 };
-use papi_suite::papi::{Papi, Preset, PresetTable, SimSubstrate};
+use papi_suite::papi::{AppExit, Papi, Preset, PresetTable, SimSubstrate};
 use papi_suite::workloads::{random_program, RandomCfg};
 use simcpu::platform::GroupDef;
 use simcpu::rng::SmallRng;
@@ -651,7 +651,9 @@ fn trace_roundtrip_arbitrary() {
 /// Build a session on `spec` with a seeded random program and a random
 /// 1–4 event set drawn from `candidates` (events the platform rejects are
 /// skipped). Returns `None` when the drawn set cannot start (e.g. counter
-/// conflicts without multiplexing) — callers skip those cases.
+/// conflicts without multiplexing) — callers skip those cases. The
+/// program keeps its calls and random branches, and its loops run up to
+/// 20M times, so it outlives the few 1k–50k-cycle slices a replay offers.
 fn random_started_session(
     spec: simcpu::PlatformSpec,
     prog_seed: u64,
@@ -671,6 +673,7 @@ fn random_started_session(
         prog_seed,
         RandomCfg {
             funcs: 2,
+            max_loop: 20_000_000,
             ..Default::default()
         },
     ));
@@ -726,8 +729,10 @@ fn read_into_equals_read_under_replay() {
         let mut buf = vec![0i64; n];
         for step in 0..steps {
             let budget = rng.gen_range(1_000u64..50_000);
-            a.run_for(budget).unwrap();
-            b.run_for(budget).unwrap();
+            for p in [&mut a, &mut b] {
+                let exit = p.run_for(budget).unwrap();
+                assert_eq!(exit, AppExit::Paused, "case {case} step {step}: halted");
+            }
             let via_read = a.read(set_a).unwrap();
             b.read_into(set_b, &mut buf).unwrap();
             assert_eq!(
@@ -767,8 +772,10 @@ fn accum_equals_read_into_plus_reset_under_replay() {
         let mut delta = vec![0i64; n];
         for step in 0..steps {
             let budget = rng.gen_range(1_000u64..50_000);
-            a.run_for(budget).unwrap();
-            b.run_for(budget).unwrap();
+            for p in [&mut a, &mut b] {
+                let exit = p.run_for(budget).unwrap();
+                assert_eq!(exit, AppExit::Paused, "case {case} step {step}: halted");
+            }
             a.accum(set_a, &mut acc).unwrap();
             b.read_into(set_b, &mut delta).unwrap();
             for (m, d) in manual.iter_mut().zip(&delta) {
